@@ -8,8 +8,10 @@ controller, mismatched dimensions, bad flags), 3 when training diverges,
 JSON; `--controller` takes a fresh controller type (droop, pwl, integral,
 adaptive) or a path to a saved controller; `--checkpoint` points at a
 training checkpoint.  All randomness is keyed by `--seed`, and output files
-are byte-identical across reruns with the same arguments.  The
-SWINGFREQ_THREADS environment variable caps evaluation parallelism.
+are byte-identical across reruns with the same arguments.  `evaluate`
+integrates each controller's whole scenario battery as one batch on one
+thread.  The SWINGFREQ_THREADS environment variable, when set, must be a
+positive integer; no result depends on its value.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .dynamics import (
     IntegrationError,
     SystemState,
     rollout,
+    rollout_batch,
 )
 from .lyapunov import (
     CertificationError,
@@ -129,31 +131,34 @@ def _load_checkpoint(path: str | Path):
     return controller_from_dict(doc), None, None, []
 
 
-def _resolve_controller(args, net: Network) -> tuple[Controller, str]:
-    if getattr(args, "checkpoint", None):
-        ctrl = _load_checkpoint(args.checkpoint)[0]
-        label = Path(args.checkpoint).stem
-    else:
-        spec = args.controller
-        if Path(spec).suffix == ".json" or Path(spec).exists():
-            ctrl = load_controller(spec)
-            label = Path(spec).stem
-        else:
-            ctrl = _fresh_controller(spec, net.n)
-            label = spec
+def _controller_spec(spec: str, net: Network) -> tuple[str, Controller]:
+    """Label and controller for a fresh controller type or a controller file."""
+    if Path(spec).suffix == ".json" or Path(spec).exists():
+        return Path(spec).stem, load_controller(spec)
+    return spec, _fresh_controller(spec, net.n)
+
+
+def _sized(ctrl: Controller, net: Network, label: str = "") -> Controller:
     if ctrl.n != net.n:
         raise ControllerError(
-            f"controller is sized for {ctrl.n} buses but the case has {net.n}"
+            f"controller {label}is sized for {ctrl.n} buses but the case has {net.n}"
         )
-    return ctrl, label
+    return ctrl
 
 
-def _n_workers(n_jobs: int) -> int:
+def _resolve_controller(args, net: Network) -> tuple[Controller, str]:
+    if getattr(args, "checkpoint", None):
+        label, ctrl = Path(args.checkpoint).stem, _load_checkpoint(args.checkpoint)[0]
+    else:
+        label, ctrl = _controller_spec(args.controller, net)
+    return _sized(ctrl, net), label
+
+
+def _check_thread_cap() -> None:
+    """Reject a SWINGFREQ_THREADS that is set but not a positive integer."""
     env = os.environ.get("SWINGFREQ_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
-    if cap < 1:
-        raise ValueError("SWINGFREQ_THREADS must be a positive integer")
-    return max(1, min(n_jobs, cap))
+    if env and not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"SWINGFREQ_THREADS must be a positive integer, got {env!r}")
 
 
 def _scenario_hash(scen: Scenario) -> str:
@@ -230,12 +235,9 @@ def cmd_train(args) -> int:
             raise ControllerError(
                 f"checkpoint was trained on case {cfg.get('case')!r}, not {args.case!r}"
             )
-        seed = cfg["seed"]
-        n_scen = cfg["n_scenarios"]
-        batch_size = cfg["batch_size"]
-        lr = cfg["lr"]
-        dt = cfg["dt"]
-        smooth = cfg["smooth_max"]
+        _sized(ctrl, net)
+        keys = ("seed", "n_scenarios", "batch_size", "lr", "dt", "smooth_max")
+        seed, n_scen, batch_size, lr, dt, smooth = (cfg[k] for k in keys)
         noise = cfg.get("noise", 0.0)
         cost = CostSpec(
             cfg["cost"]["gamma"], np.array(cfg["cost"]["c"]), cfg["cost"]["T"]
@@ -244,18 +246,11 @@ def cmd_train(args) -> int:
         ctype = cfg.get("controller_type", type(ctrl).__name__)
     else:
         ctrl, ctype = _resolve_controller(args, net)
-        seed = args.seed
-        n_scen = args.scenarios
-        batch_size = args.batch_size
-        lr = args.lr
-        dt = args.dt
-        smooth = args.smooth_max
-        noise = args.noise
-        cost = make_cost_spec(net, seed)
-    if ctrl.n != net.n:
-        raise ControllerError(
-            f"controller is sized for {ctrl.n} buses but the case has {net.n}"
+        seed, n_scen, batch_size, lr, dt, smooth, noise = (
+            args.seed, args.scenarios, args.batch_size, args.lr, args.dt,
+            args.smooth_max, args.noise,
         )
+        cost = make_cost_spec(net, seed)
     scenarios = make_scenarios(net, n_scen, seed, noise_eps=noise, onset=0.0)
 
     def progress(epoch: int, loss: float) -> None:
@@ -311,6 +306,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_thread_cap()
     net = _resolve_case(args)
     if args.horizon < EVAL_ONSET + RESTORE_WINDOW[1]:
         raise ValueError(
@@ -318,25 +314,14 @@ def cmd_evaluate(args) -> int:
             f"{EVAL_ONSET:g} s onset; pass --horizon >= "
             f"{EVAL_ONSET + RESTORE_WINDOW[1]:g}"
         )
-    entries: list[tuple[str, Controller]] = []
-    for path in args.checkpoint or []:
-        ctrl = _load_checkpoint(path)[0]
-        entries.append((Path(path).stem, ctrl))
-    for spec in args.controller or []:
-        if Path(spec).suffix == ".json" or Path(spec).exists():
-            entries.append((Path(spec).stem, load_controller(spec)))
-        else:
-            entries.append((spec, _fresh_controller(spec, net.n)))
+    entries = [(Path(p).stem, _load_checkpoint(p)[0]) for p in args.checkpoint or []]
+    entries += [_controller_spec(spec, net) for spec in args.controller or []]
     if not entries:
         raise ValueError("nothing to evaluate: pass --checkpoint and/or --controller")
     seen: dict[str, int] = {}
     labeled = []
     for label, ctrl in entries:
-        if ctrl.n != net.n:
-            raise ControllerError(
-                f"controller {label!r} is sized for {ctrl.n} buses but the case "
-                f"has {net.n}"
-            )
+        _sized(ctrl, net, f"{label!r} ")
         seen[label] = seen.get(label, 0) + 1
         labeled.append((f"{label}#{seen[label]}" if seen[label] > 1 else label, ctrl))
 
@@ -345,60 +330,49 @@ def cmd_evaluate(args) -> int:
     )
     cost = make_cost_spec(net, args.seed)
     method = "euler" if args.euler else "rk4"
+    delta_star = solve_equilibrium(net)
 
-    def run_one(job):
-        label, ctrl, scen = job
-        traj = rollout(
-            net, ctrl, scen.basis, scen.dist,
-            horizon=args.horizon, dt=args.dt, method=method,
-        )
-        tail = traj.tail(EVAL_ONSET)
-        return {
-            "controller": label,
-            "scenario_hash": _scenario_hash(scen),
-            "nadir": float(np.abs(tail.omega).max()),
-            "restoration": restoration_cost(tail, RESTORE_WINDOW),
-            "transient_loss": transient_loss(tail, cost),
-            "peak_u": float(np.abs(tail.u).max()),
-        }
-
-    jobs = [(label, ctrl, scen) for label, ctrl in labeled for scen in scenarios]
-    with ThreadPoolExecutor(max_workers=_n_workers(len(jobs))) as pool:
-        rows = list(pool.map(run_one, jobs))
-
+    # one batch per controller over the whole battery, in scenario order, and
     # one aggregate row per controller; the shared scenario-set hash proves
     # every controller saw the identical battery
+    cols = ("transient_loss", "restoration", "nadir", "peak_u")
+    rows, summary = [], {}
+    for label, ctrl in labeled:
+        trajs = rollout_batch(
+            net, ctrl, scenarios, horizon=args.horizon, dt=args.dt, method=method,
+            delta_star=delta_star, record=("omega", "u"),
+        )
+        mine = []
+        for scen, traj in zip(scenarios, trajs):
+            tail = traj.tail(EVAL_ONSET)
+            mine.append({
+                "controller": label,
+                "scenario_hash": _scenario_hash(scen),
+                "nadir": float(np.abs(tail.omega).max()),
+                "restoration": restoration_cost(tail, RESTORE_WINDOW),
+                "transient_loss": transient_loss(tail, cost),
+                "peak_u": float(np.abs(tail.u).max()),
+            })
+        rows += mine
+        stats: dict[str, float] = {"n_scenarios": len(mine)}
+        for c in cols:
+            vals = [r[c] for r in mine]
+            stats[f"{c}_mean"] = float(np.mean(vals))
+            stats[f"{c}_se"] = (
+                float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+            )
+        summary[label] = stats
     set_hash = hashlib.sha256(
         "".join(_scenario_hash(s) for s in scenarios).encode()
     ).hexdigest()[:12]
-    cols = ("transient_loss", "restoration", "nadir", "peak_u")
-
-    def _agg(values: list[float]) -> tuple[float, float]:
-        mean = float(np.mean(values))
-        se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-        return mean, se
-
-    summary = {}
-    for label, _ in labeled:
-        mine = [r for r in rows if r["controller"] == label]
-        stats: dict[str, float] = {"n_scenarios": len(mine)}
-        for c in cols:
-            mean, se = _agg([r[c] for r in mine])
-            stats[f"{c}_mean"] = mean
-            stats[f"{c}_se"] = se
-        summary[label] = stats
 
     out = _out_dir(args)
     header = ["controller", "scenario_hash", "n_scenarios"]
-    for c in cols:
-        header += [f"{c}_mean", f"{c}_se"]
-    lines = [",".join(header)]
-    for label, _ in labeled:
-        s = summary[label]
-        cells = [label, set_hash, str(s["n_scenarios"])]
-        for c in cols:
-            cells += [repr(float(s[f"{c}_mean"])), repr(float(s[f"{c}_se"]))]
-        lines.append(",".join(cells))
+    header += [f"{c}_{stat}" for c in cols for stat in ("mean", "se")]
+    lines = [",".join(header)] + [
+        ",".join([label, set_hash, str(s["n_scenarios"])] + [repr(s[h]) for h in header[3:]])
+        for label, s in summary.items()
+    ]
     (out / "comparison.csv").write_text("\n".join(lines) + "\n")
     _write_json(
         out / "comparison.json",
@@ -417,8 +391,7 @@ def cmd_evaluate(args) -> int:
     )
     width = max(len(label) for label, _ in labeled)
     print(f"{args.scenarios} scenarios on {args.case}, onset {EVAL_ONSET:g} s")
-    for label, _ in labeled:
-        s = summary[label]
+    for label, s in summary.items():
         print(
             f"{label:<{width}}  transient {s['transient_loss_mean']:.4g}  "
             f"restoration {s['restoration_mean']:.4g}  "
@@ -494,7 +467,7 @@ def cmd_certify(args) -> int:
     def roll(scen: Scenario):
         return rollout(
             net, ctrl, scen.basis, scen.dist,
-            horizon=args.horizon, dt=args.dt, x0=scen.x0,
+            horizon=args.horizon, dt=args.dt, x0=scen.x0, delta_star=delta_star,
         )
 
     cal_trajs = [roll(s) for s in calibration]
@@ -559,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     case.add_argument(
         "--repair-balance", action="store_true",
-        help="rebalance net injections through the largest source instead of failing",
+        help="subtract the mean setpoint from every bus instead of failing on imbalance",
     )
 
     single = argparse.ArgumentParser(add_help=False)

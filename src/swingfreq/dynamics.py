@@ -16,13 +16,20 @@ step (zero-order hold anchored at the step start), so trajectories are
 piecewise-smooth with breakpoints exactly on the recording grid.
 
 Angles are re-projected to the COI gauge (zero mean) after every step.
+
+There is one integrator: `rollout_batch` advances a whole scenario battery
+with state shape (B, n), evaluating features, injections and the controller
+for every scenario in one call per stage.  `rollout` and `step` are its
+batch-of-one cases, and `ScenarioStack` is the one path from scenarios to
+stacked arrays, shared with the training engine.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,12 +40,15 @@ __all__ = [
     "BasisSignal",
     "Disturbance",
     "IntegrationError",
+    "Scenario",
+    "ScenarioStack",
     "SystemState",
     "Trajectory",
     "equilibrium_state",
     "make_constant_basis",
     "make_sinusoid_basis",
     "rollout",
+    "rollout_batch",
     "step",
 ]
 
@@ -187,6 +197,16 @@ class Disturbance:
         return sorted(k for k in ks if 0 < k <= n_steps)
 
 
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """One disturbance realization: step/noise injections, net-load basis,
+    and an optional initial state (defaults to the undisturbed equilibrium)."""
+
+    dist: Disturbance
+    basis: BasisSignal
+    x0: SystemState | None = None
+
+
 def equilibrium_state(
     net: Network, controller: Controller, delta_star: np.ndarray | None = None
 ) -> SystemState:
@@ -200,52 +220,145 @@ def equilibrium_state(
     )
 
 
-def _derivs(
-    net: Network,
-    controller: Controller,
-    basis: BasisSignal,
-    delta: np.ndarray,
-    omega: np.ndarray,
-    a_hat: np.ndarray,
-    t: float,
-    p_extra: np.ndarray | float,
-    phi: np.ndarray | None = None,
-):
-    if phi is None:
-        phi = basis.features(t)
+NOISE_BLOCK = 64  # steps of injection noise drawn per generator call
+
+
+class ScenarioStack:
+    """A scenario battery as stacked arrays, one row per scenario in order.
+
+    Basis parameters (B, n, l), step injections by step index, initial states
+    (B, n) and (B, n, l_ctrl), and per-step noise drawn exactly as a lone
+    rollout of each scenario draws it.  Nothing here is horizon-long.
+    """
+
+    def __init__(
+        self,
+        net: Network,
+        scenarios: Sequence[Scenario],
+        dt: float,
+        n_steps: int,
+        ctrl_features: int,
+        delta_star: np.ndarray | None = None,
+    ):
+        B = len(scenarios)
+        if B == 0:
+            raise ValueError("empty scenario batch")
+        first = scenarios[0].basis
+        for s in scenarios:
+            if s.basis.n != net.n:
+                raise ValueError("scenario basis does not match the network")
+            if s.basis.n_features != first.n_features or s.basis.dt_ref != first.dt_ref:
+                raise ValueError("scenarios in a batch must share the basis layout")
+        n = net.n
+        self.B, self.n, self.dt, self.dt_ref = B, n, dt, first.dt_ref
+        self.eta = np.stack([s.basis.eta for s in scenarios])
+        self.coeffs = np.stack([s.basis.coeffs for s in scenarios])
+        # step injections: the rows at k = 0, then a scenario's whole row again
+        # at each step index where one of its steps switches on
+        self.steps0 = np.stack([s.dist.injection(n, 0.0, dt) for s in scenarios])
+        self.events: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for b, s in enumerate(scenarios):
+            for k in s.dist.onset_indices(dt, n_steps):
+                self.events.setdefault(k, []).append((b, s.dist.injection(n, k * dt, dt)))
+        self._noisy = [
+            (b, s.dist.seed, s.dist.noise_eps)
+            for b, s in enumerate(scenarios)
+            if s.dist.noise_eps > 0
+        ]
+        if delta_star is None and any(s.x0 is None for s in scenarios):
+            delta_star = solve_equilibrium(net)
+        self.delta0 = np.stack([delta_star if s.x0 is None else s.x0.delta for s in scenarios])
+        self.omega0 = np.stack([np.zeros(n) if s.x0 is None else s.x0.omega for s in scenarios])
+        self.a0 = np.zeros((B, n, ctrl_features))
+        for b, s in enumerate(scenarios):
+            if s.x0 is not None and s.x0.a_hat.size:
+                if s.x0.a_hat.shape != (n, ctrl_features):
+                    raise ValueError("initial estimates do not fit the controller")
+                self.a0[b] = s.x0.a_hat
+
+    def features(self, t: float) -> np.ndarray:
+        """Every scenario's basis features at time t; shape (B, n, l)."""
+        out = np.empty(self.coeffs.shape)
+        out[..., -1] = 1.0
+        if self.eta.shape[-1]:
+            np.sin(t / self.dt_ref * self.eta, out=out[..., :-1])
+        return out
+
+    def step_injection(self, k: int, current: np.ndarray) -> np.ndarray:
+        """Step injections of step k, given those of step k - 1 (`steps0` at k = 0)."""
+        changed = self.events.get(k)
+        if changed:
+            current = current.copy()
+            for b, row in changed:
+                current[b] = row
+        return current
+
+    def noise(self) -> Iterator[np.ndarray | None]:
+        """Injection noise of steps 0, 1, ..., each (B, n), or None if no
+        scenario is noisy; every call restarts the streams from the seeds."""
+        gens = [(b, np.random.default_rng(seed), eps) for b, seed, eps in self._noisy]
+        while True:
+            block = np.zeros((NOISE_BLOCK, self.B, self.n)) if gens else [None] * NOISE_BLOCK
+            for b, gen, eps in gens:
+                # one block draw is the same stream as NOISE_BLOCK per-step draws
+                block[:, b] = gen.uniform(-eps, eps, (NOISE_BLOCK, self.n))
+            yield from block
+
+
+def _forcing(net: Network, controller: Controller, basis, t: float, p_extra):
+    """Net injection and the controller's feature view at time t.
+
+    `basis` is a BasisSignal for unbatched states or a ScenarioStack.
+    """
+    phi = basis.features(t)
     p = net.p_star + (phi * basis.coeffs).sum(axis=-1) + p_extra
-    view = controller.select_features(phi)
+    return p, controller.select_features(phi)
+
+
+def _derivs(net, controller, delta, omega, a_hat, p, view):
+    """Closed-loop vector field, batched over leading axes; d_a is None for
+    controllers without adaptive estimates."""
     u = controller.control(omega, view, a_hat if controller.n_features else None)
-    # np.add.reduce(x)/x.size == x.mean() bit for bit, minus the wrapper cost
-    d_delta = omega - np.add.reduce(omega) / omega.size
+    # np.add.reduce(x, -1)/n == x.mean(-1) bit for bit, minus the wrapper cost
+    d_delta = omega - np.add.reduce(omega, -1, keepdims=True) / omega.shape[-1]
     d_omega = (p - net.D * omega - u - grad_S(net, delta)) / net.M
-    if controller.n_features:
-        d_a = controller.adaptation(omega, view)
-    else:
-        d_a = np.zeros_like(a_hat)
-    return d_delta, d_omega, d_a, u, p
+    d_a = controller.adaptation(omega, view) if controller.n_features else None
+    return d_delta, d_omega, d_a, u
 
 
-def _advance(net, controller, basis, state, t, dt, p_extra, method, k1=None):
-    """One integration step; p_extra is held constant across sub-stages."""
-    d, w, a = state.delta, state.omega, state.a_hat
-    if k1 is None:
-        k1 = _derivs(net, controller, basis, d, w, a, t, p_extra)
+def _stage(a, h, d_a):
+    return a if d_a is None else a + h * d_a
+
+
+def _advance(net, controller, basis, d, w, a, t, dt, p_extra, method, k1):
+    """One integration step from t; p_extra is held constant across sub-stages."""
     if method == "euler":
-        nd, nw, na = d + dt * k1[0], w + dt * k1[1], a + dt * k1[2]
+        nd, nw, na = d + dt * k1[0], w + dt * k1[1], _stage(a, dt, k1[2])
     elif method == "rk4":
         h = dt / 2
-        phih = basis.features(t + h)  # k2 and k3 sit at the same sub-stage time
-        k2 = _derivs(net, controller, basis, d + h * k1[0], w + h * k1[1], a + h * k1[2], t + h, p_extra, phih)
-        k3 = _derivs(net, controller, basis, d + h * k2[0], w + h * k2[1], a + h * k2[2], t + h, p_extra, phih)
-        k4 = _derivs(net, controller, basis, d + dt * k3[0], w + dt * k3[1], a + dt * k3[2], t + dt, p_extra)
+        mid = _forcing(net, controller, basis, t + h, p_extra)  # k2 and k3 share it
+        k2 = _derivs(net, controller, d + h * k1[0], w + h * k1[1], _stage(a, h, k1[2]), *mid)
+        k3 = _derivs(net, controller, d + h * k2[0], w + h * k2[1], _stage(a, h, k2[2]), *mid)
+        k4 = _derivs(
+            net, controller, d + dt * k3[0], w + dt * k3[1], _stage(a, dt, k3[2]),
+            *_forcing(net, controller, basis, t + dt, p_extra),
+        )
         sixth = dt / 6
         nd = d + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         nw = w + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        na = a + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        na = a if k1[2] is None else a + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
     else:
         raise ValueError(f"unknown integration method {method!r}")
-    return SystemState(nd - np.add.reduce(nd) / nd.size, nw, na)
+    return nd - np.add.reduce(nd, -1, keepdims=True) / nd.shape[-1], nw, na
+
+
+def _check_finite(d, w, a, k: int, t: float) -> None:
+    """Raise IntegrationError naming step k (and, in a batch, the first bad row)."""
+    if np.isfinite(d).all() and np.isfinite(w).all() and np.isfinite(a).all():
+        return
+    ok = np.isfinite(d).all(-1) & np.isfinite(w).all(-1) & np.isfinite(a).all((-2, -1))
+    where = f" in scenario {int(np.argmin(ok))}" if ok.size > 1 else ""
+    raise IntegrationError(f"non-finite state{where} at step {k} (t={t:.6g})")
 
 
 def step(
@@ -271,15 +384,11 @@ def step(
         p_extra = dist.injection(net.n, t, dt)
         if dist.noise_eps > 0 and rng is not None:
             p_extra = p_extra + rng.uniform(-dist.noise_eps, dist.noise_eps, net.n)
-    new = _advance(net, controller, basis, state, t, dt, p_extra, method)
-    if not (
-        np.all(np.isfinite(new.delta))
-        and np.all(np.isfinite(new.omega))
-        and np.all(np.isfinite(new.a_hat))
-    ):
-        k = round(t / dt) + 1
-        raise IntegrationError(f"non-finite state at step {k} (t={t + dt:.6g})")
-    return new
+    d, w, a = state.delta, state.omega, state.a_hat
+    k1 = _derivs(net, controller, d, w, a, *_forcing(net, controller, basis, t, p_extra))
+    d, w, a = _advance(net, controller, basis, d, w, a, t, dt, p_extra, method, k1)
+    _check_finite(d, w, a, round(t / dt) + 1, t + dt)
+    return SystemState(d, w, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,20 +399,21 @@ class Trajectory:
     control and realized injection anchoring the step that starts at each
     record time (the final row's values are those quantities evaluated at the
     horizon).  `meta` carries the scenario description for the JSON sidecar.
+    Histories a batched run was not asked to record are None.
     """
 
     t: np.ndarray
-    delta: np.ndarray
+    delta: np.ndarray | None
     omega: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
-    a_hat: np.ndarray
+    u: np.ndarray | None
+    p: np.ndarray | None
+    a_hat: np.ndarray | None
     dt: float
     meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.delta.shape[1]
+        return self.omega.shape[1]
 
     @property
     def n_records(self) -> int:
@@ -314,16 +424,11 @@ class Trajectory:
         k0 = int(np.searchsorted(self.t, t0 - 1e-9))
         if k0 >= self.n_records:
             raise ValueError(f"tail start {t0:g} is past the horizon {self.t[-1]:g}")
-        return Trajectory(
-            self.t[k0:] - self.t[k0],
-            self.delta[k0:],
-            self.omega[k0:],
-            self.u[k0:],
-            self.p[k0:],
-            self.a_hat[k0:],
-            self.dt,
-            self.meta,
-        )
+        cut = [
+            None if x is None else x[k0:]
+            for x in (self.delta, self.omega, self.u, self.p, self.a_hat)
+        ]
+        return Trajectory(self.t[k0:] - self.t[k0], *cut, self.dt, self.meta)
 
     def write_csv(self, path: str | Path) -> None:
         """Header: t, then delta_<bus>, omega_<bus>, u_<bus>, p_<bus> blocks."""
@@ -341,6 +446,69 @@ class Trajectory:
         Path(path).write_text(json.dumps(self.meta, indent=1, sort_keys=True) + "\n")
 
 
+RECORDS = ("delta", "omega", "u", "p", "a_hat")
+
+
+def _n_steps(horizon: float, dt: float) -> int:
+    n_steps = round(horizon / dt)
+    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)) or n_steps < 1:
+        raise ValueError(f"horizon {horizon} is not an integer multiple of dt {dt}")
+    return n_steps
+
+
+def rollout_batch(
+    net: Network,
+    controller: Controller,
+    scenarios: Sequence[Scenario],
+    *,
+    horizon: float,
+    dt: float = 0.01,
+    method: str = "rk4",
+    delta_star: np.ndarray | None = None,
+    record: Sequence[str] = RECORDS,
+) -> tuple[Trajectory, ...]:
+    """Integrate a scenario battery as one batch of state shape (B, n).
+
+    Returns one trajectory per scenario holding only the histories named in
+    `record` (omega always); the others are None.  Scenarios without `x0`
+    start from `delta_star`, solved for once when not given.  A row equals the
+    lone `rollout` of its scenario up to the last bits: the network product's
+    rounding depends on the batch size, so results are fixed by the battery,
+    never by how it is split.  IntegrationError names the scenario and step.
+    """
+    if "omega" not in record or not set(record) <= set(RECORDS):
+        raise ValueError(f"record must name omega and only histories among {RECORDS}")
+    n_steps = _n_steps(horizon, dt)
+    stack = ScenarioStack(net, scenarios, dt, n_steps, controller.n_features, delta_star)
+    B, n, l = stack.B, stack.n, controller.n_features
+    hist = {
+        name: np.empty((B, n_steps + 1, n) + ((l,) if name == "a_hat" else ()))
+        for name in record
+    }
+    d, w, a = stack.delta0, stack.omega0, stack.a0
+    p_steps = stack.steps0
+    noise = stack.noise()
+    for k in range(n_steps + 1):
+        t = k * dt
+        p_steps = stack.step_injection(k, p_steps)
+        nz = next(noise)
+        p_extra = p_steps if nz is None else p_steps + nz
+        p, view = _forcing(net, controller, stack, t, p_extra)
+        k1 = _derivs(net, controller, d, w, a, p, view)
+        now = {"delta": d, "omega": w, "u": k1[3], "p": p, "a_hat": a}
+        for name, arr in hist.items():
+            arr[:, k] = now[name]
+        if k == n_steps:
+            break
+        d, w, a = _advance(net, controller, stack, d, w, a, t, dt, p_extra, method, k1)
+        _check_finite(d, w, a, k + 1, t + dt)
+    t_rec = np.arange(n_steps + 1) * dt
+    return tuple(
+        Trajectory(t_rec, *(hist[r][b] if r in hist else None for r in RECORDS), dt)
+        for b in range(B)
+    )
+
+
 def rollout(
     net: Network,
     controller: Controller,
@@ -351,52 +519,23 @@ def rollout(
     dt: float = 0.01,
     x0: SystemState | None = None,
     method: str = "rk4",
+    delta_star: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate for horizon/dt steps and record every state.
+    """Integrate one scenario for horizon/dt steps and record every state.
 
-    Deterministic given the disturbance seed.  The initial condition defaults
-    to the no-disturbance equilibrium with zero estimates.
+    The batch-of-one case of `rollout_batch`.  Deterministic given the
+    disturbance seed.  The initial condition defaults to the no-disturbance
+    equilibrium (`delta_star`, solved for when not given) with zero estimates.
     """
-    n_steps = round(horizon / dt)
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)) or n_steps < 1:
-        raise ValueError(f"horizon {horizon} is not an integer multiple of dt {dt}")
     if basis.n != net.n:
         raise ValueError("basis bus count does not match the network")
-    state = x0 if x0 is not None else equilibrium_state(net, controller)
-    rng = None
-    if dist is not None and dist.noise_eps > 0:
-        rng = np.random.default_rng(dist.seed)
-
-    n, l = net.n, controller.n_features
-    t_rec = np.arange(n_steps + 1) * dt
-    delta = np.empty((n_steps + 1, n))
-    omega = np.empty((n_steps + 1, n))
-    u_rec = np.empty((n_steps + 1, n))
-    p_rec = np.empty((n_steps + 1, n))
-    a_rec = np.empty((n_steps + 1, n, l))
-
-    for k in range(n_steps + 1):
-        t = k * dt
-        p_extra: np.ndarray | float = 0.0
-        if dist is not None:
-            p_extra = dist.injection(n, t, dt)
-            if rng is not None:
-                p_extra = p_extra + rng.uniform(-dist.noise_eps, dist.noise_eps, n)
-        k1 = _derivs(net, controller, basis, state.delta, state.omega, state.a_hat, t, p_extra)
-        delta[k], omega[k], a_rec[k] = state.delta, state.omega, state.a_hat
-        u_rec[k], p_rec[k] = k1[3], k1[4]
-        if k == n_steps:
-            break
-        state = _advance(net, controller, basis, state, t, dt, p_extra, method, k1=k1)
-        if not (
-            np.all(np.isfinite(state.delta))
-            and np.all(np.isfinite(state.omega))
-            and np.all(np.isfinite(state.a_hat))
-        ):
-            raise IntegrationError(f"non-finite state at step {k + 1} (t={t + dt:.6g})")
-
+    scen = Scenario(dist if dist is not None else Disturbance(), basis, x0)
+    traj = rollout_batch(
+        net, controller, [scen],
+        horizon=horizon, dt=dt, method=method, delta_star=delta_star,
+    )[0]
     meta = {
-        "bus_ids": None,
+        "bus_ids": list(net.bus_ids),
         "dt": dt,
         "horizon": float(horizon),
         "method": method,
@@ -409,5 +548,4 @@ def rollout(
             "dt_ref": basis.dt_ref,
         },
     }
-    meta["bus_ids"] = list(net.bus_ids)
-    return Trajectory(t_rec, delta, omega, u_rec, p_rec, a_rec, dt, meta)
+    return replace(traj, meta=meta)

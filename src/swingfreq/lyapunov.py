@@ -35,7 +35,7 @@ simulation-side instrumentation: controllers never see it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -131,18 +131,6 @@ class DecreaseReport:
     passed: bool
     n_points: int
     n_segments: int
-
-    def to_dict(self) -> dict:
-        return {
-            "worst_margin": self.worst_margin,
-            "worst_time": self.worst_time,
-            "tol": self.tol,
-            "tol_coeff": self.tol_coeff,
-            "dt": self.dt,
-            "passed": self.passed,
-            "n_points": self.n_points,
-            "n_segments": self.n_segments,
-        }
 
 
 @dataclass(frozen=True)
@@ -444,14 +432,7 @@ def certificate_report(
 ) -> dict:
     """Assemble the JSON-ready certification summary."""
     return {
-        "gamma1": bounds.gamma1,
-        "gamma2": bounds.gamma2,
-        "beta1": bounds.beta1,
-        "beta2": bounds.beta2,
-        "beta1_sampled": bounds.beta1_sampled,
-        "beta2_sampled": bounds.beta2_sampled,
-        "margin": bounds.margin,
-        "samples": bounds.samples,
+        **asdict(bounds),
         "worst_margin": decrease.worst_margin,
         "worst_time": decrease.worst_time,
         "tol": decrease.tol,

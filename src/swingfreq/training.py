@@ -37,14 +37,15 @@ from .controllers import (
     _dot_last,
 )
 from .dynamics import (
-    BasisSignal,
     Disturbance,
     IntegrationError,
-    SystemState,
+    Scenario,
+    ScenarioStack,
     Trajectory,
+    _n_steps,
     make_sinusoid_basis,
 )
-from .netmodel import Network, solve_equilibrium
+from .netmodel import Network, grad_S, hess_S_vecprod, solve_equilibrium
 
 __all__ = [
     "AdamState",
@@ -94,16 +95,6 @@ def make_cost_spec(
     """Draw the per-bus action-cost coefficients once for a network."""
     gen = np.random.default_rng(rng)
     return CostSpec(gamma=gamma, c=gen.uniform(*c_range, net.n), T=T)
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """One disturbance realization: step/noise injections, net-load basis,
-    and an optional initial state (defaults to the undisturbed equilibrium)."""
-
-    dist: Disturbance
-    basis: BasisSignal
-    x0: SystemState | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,12 +182,13 @@ def restoration_cost(
 # --- batched Euler engine ---------------------------------------------------
 
 
-class _Batch:
-    """Stacked scenario arrays for one forward/backward sweep.
+class _Batch(ScenarioStack):
+    """Stacked scenario arrays plus the tables of one forward/backward sweep.
 
     The basis features and the scheduled net injection are identical across
-    epochs for a given step grid, so they are materialized once here instead
-    of being recomputed twice per step by the forward and adjoint sweeps.
+    epochs for a given step grid, so they are materialized once here for the
+    whole horizon instead of being recomputed twice per step by the forward
+    and adjoint sweeps.
     """
 
     def __init__(
@@ -210,89 +202,18 @@ class _Batch:
     ):
         if isinstance(controller, SaturatedController):
             raise ControllerError("training through saturation is not supported")
-        B = len(scenarios)
-        if B == 0:
-            raise ValueError("empty scenario batch")
-        lb = scenarios[0].basis.n_features
-        dt_ref = scenarios[0].basis.dt_ref
-        for s in scenarios:
-            if s.basis.n != net.n:
-                raise ValueError("scenario basis does not match the network")
-            if s.basis.n_features != lb or s.basis.dt_ref != dt_ref:
-                raise ValueError("scenarios in a batch must share the basis layout")
-        self.B, self.n, self.lb = B, net.n, lb
-        self.dt, self.dt_ref, self.n_steps = dt, dt_ref, n_steps
-        self.eta = np.stack([s.basis.eta for s in scenarios])
-        self.coeffs = np.stack([s.basis.coeffs for s in scenarios])
-        # step injections: already-on steps in p0, later ones as indexed events
-        self.p0 = np.zeros((B, self.n))
-        self.events: dict[int, list[tuple[int, int, float]]] = {}
-        for b, s in enumerate(scenarios):
-            for bus, mag, onset in s.dist.steps:
-                if not 0 <= bus < net.n:
-                    raise ValueError(f"step bus index {bus} out of range")
-                k_on = round(onset / dt)
-                if k_on <= 0:
-                    self.p0[b, bus] += mag
-                else:
-                    self.events.setdefault(k_on, []).append((b, int(bus), mag))
-        # per-step noise, drawn exactly as the sequential rollout draws it
-        self.noise = None
-        if any(s.dist.noise_eps > 0 for s in scenarios):
-            self.noise = np.zeros((n_steps, B, self.n))
-            for b, s in enumerate(scenarios):
-                if s.dist.noise_eps > 0:
-                    gen = np.random.default_rng(s.dist.seed)
-                    draws = gen.uniform(
-                        -s.dist.noise_eps, s.dist.noise_eps, (n_steps + 1, self.n)
-                    )
-                    self.noise[:, b] = draws[:n_steps]
-        # initial conditions
-        if any(s.x0 is None for s in scenarios) and delta_star is None:
-            delta_star = solve_equilibrium(net)
-        l_ctrl = controller.n_features
-        self.delta0 = np.empty((B, self.n))
-        self.omega0 = np.zeros((B, self.n))
-        self.a0 = np.zeros((B, self.n, l_ctrl))
-        for b, s in enumerate(scenarios):
-            if s.x0 is None:
-                self.delta0[b] = delta_star
-            else:
-                self.delta0[b] = s.x0.delta
-                self.omega0[b] = s.x0.omega
-                if s.x0.a_hat.shape == (self.n, l_ctrl):
-                    self.a0[b] = s.x0.a_hat
-                elif s.x0.a_hat.size:
-                    raise ValueError("initial estimates do not fit the controller")
-        # feature and injection schedules for every step; steps already on at
-        # k = 0 fold into the schedule unless a later event has to re-branch it
-        kidx = np.arange(n_steps) * dt / dt_ref
-        self.phi = np.empty((n_steps, B, self.n, lb))
+        super().__init__(net, scenarios, dt, n_steps, controller.n_features, delta_star)
+        self.n_steps = n_steps
+        # steps already on at k = 0 fold into the schedule unless a later
+        # event has to re-branch it
+        kidx = np.arange(n_steps) * dt / self.dt_ref
+        self.phi = np.empty((n_steps,) + self.coeffs.shape)
         self.phi[..., -1] = 1.0
         if self.eta.shape[-1]:
             np.sin(kidx[:, None, None, None] * self.eta, out=self.phi[..., :-1])
         self.p_sched = net.p_star + _dot_last(self.phi, self.coeffs)
         if not self.events:
-            self.p_sched = self.p_sched + self.p0
-
-    def p_extra(self, base: np.ndarray, k: int) -> np.ndarray:
-        if k in self.events:
-            base = base.copy()
-            for b, bus, mag in self.events[k]:
-                base[b, bus] += mag
-        return base
-
-
-def _grad_S_batch(net: Network, delta: np.ndarray) -> np.ndarray:
-    ei, ej = net._edge_index()
-    flows = net.b_edge * np.sin(delta[..., ei] - delta[..., ej])
-    return flows @ net.incidence
-
-
-def _hvp_batch(net: Network, delta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    ei, ej = net._edge_index()
-    w = net.b_edge * np.cos(delta[..., ei] - delta[..., ej])
-    return (w * (v[..., ei] - v[..., ej])) @ net.incidence
+            self.p_sched = self.p_sched + self.steps0
 
 
 def _forward(net, controller, batch: _Batch, keep_cache: bool = False):
@@ -309,17 +230,16 @@ def _forward(net, controller, batch: _Batch, keep_cache: bool = False):
     u_h = np.empty((K, B, n))
     caches = [None] * K if keep_cache else None
     delta, omega, a_hat = batch.delta0.copy(), batch.omega0.copy(), batch.a0.copy()
-    events = batch.events
-    p_now = batch.p0 if events else None
-    p_sched, noise = batch.p_sched, batch.noise
+    p_now = batch.steps0 if batch.events else None
+    p_sched, noise = batch.p_sched, batch.noise()
     D, M = net.D, net.M
     dt = batch.dt
     # np.add.reduce(x, -1)/n == x.mean(-1) bit for bit, minus the wrapper cost
     rsum = np.add.reduce
     for k in range(K):
         delta_h[k], omega_h[k] = delta, omega
-        if events and k in events:
-            p_now = batch.p_extra(p_now, k)
+        if p_now is not None:
+            p_now = batch.step_injection(k, p_now)
         u, cache = controller.control_cached(
             omega, view[k] if adaptive else None, a_hat if adaptive else None
         )
@@ -327,9 +247,10 @@ def _forward(net, controller, batch: _Batch, keep_cache: bool = False):
         if caches is not None:
             caches[k] = cache
         p = p_sched[k] if p_now is None else p_sched[k] + p_now
-        if noise is not None:
-            p = p + noise[k]
-        d_omega = (p - D * omega - u - _grad_S_batch(net, delta)) / M
+        nz = next(noise)
+        if nz is not None:
+            p = p + nz
+        d_omega = (p - D * omega - u - grad_S(net, delta)) / M
         new_delta = delta + dt * (omega - rsum(omega, -1, keepdims=True) / n)
         delta = new_delta - rsum(new_delta, -1, keepdims=True) / n
         if adaptive:
@@ -383,7 +304,7 @@ def _backward(net, controller, batch: _Batch, delta_h, omega_h, seed_w, seed_u, 
         lam_dp = lam_d - rsum(lam_d, -1, keepdims=True) / n
         g_m = lam_w / M
         bar_u = ndt * g_m + seed_u[k]
-        new_lam_d = lam_dp - dt * _hvp_batch(net, delta, g_m)
+        new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta, g_m)
         new_lam_w = (
             lam_w
             + seed_w[k]
@@ -405,13 +326,6 @@ def _backward(net, controller, batch: _Batch, delta_h, omega_h, seed_w, seed_u, 
     return grad
 
 
-def _cost_steps(cost: CostSpec, dt: float) -> int:
-    n_steps = round(cost.T / dt)
-    if n_steps < 1 or abs(n_steps * dt - cost.T) > 1e-9:
-        raise ValueError(f"cost horizon {cost.T} is not an integer multiple of dt {dt}")
-    return n_steps
-
-
 def batch_loss(
     net: Network,
     controller: Controller,
@@ -423,7 +337,7 @@ def batch_loss(
     delta_star: np.ndarray | None = None,
 ) -> float:
     """Batch-mean transient loss of the Euler-discretized closed loop."""
-    n_steps = _cost_steps(cost, dt)
+    n_steps = _n_steps(cost.T, dt)
     batch = _Batch(net, controller, scenarios, dt, n_steps, delta_star)
     _, omega_h, u_h, _ = _forward(net, controller, batch)
     return _loss_terms(omega_h, u_h, cost, dt, smooth_max)[0]
@@ -446,7 +360,7 @@ def grad_loss(
     """
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
-    n_steps = _cost_steps(cost, dt)
+    n_steps = _n_steps(cost.T, dt)
     batch = _Batch(net, controller, scenarios, dt, n_steps, delta_star)
     # overflow here is a divergence signal, not a bug: it surfaces as
     # IntegrationError and the training loop falls back to good parameters
@@ -512,14 +426,6 @@ class TrainReport:
     optimizer: AdamState
     aborted: bool
     version: str = __version__
-
-    def to_dict(self) -> dict:
-        return {
-            "losses": list(self.losses),
-            "config": self.config,
-            "aborted": self.aborted,
-            "version": self.version,
-        }
 
 
 def train(
@@ -666,7 +572,7 @@ def gradient_check(
     gen = np.random.default_rng(seed)
     raw0 = controller.raw_parameters()
     delta_star = solve_equilibrium(net)
-    n_steps = _cost_steps(cost, dt)
+    n_steps = _n_steps(cost.T, dt)
     cache: dict[int, tuple[np.ndarray, bool]] = {}
     entries: list[tuple[int, int, float]] = []
     skipped = 0

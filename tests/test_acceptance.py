@@ -23,10 +23,12 @@ from swingfreq.controllers import (
 from swingfreq.dynamics import (
     BasisSignal,
     Disturbance,
+    Scenario,
     SystemState,
     make_constant_basis,
     make_sinusoid_basis,
     rollout,
+    rollout_batch,
 )
 from swingfreq.lyapunov import (
     check_decrease,
@@ -128,18 +130,21 @@ def test_trained_controllers_restore_frequency(ne39, trained, capsys):
         ("adaptive", trained["adaptive"].constant_restriction()),
         ("integral", trained["integral"]),
     )
-    battery = make_scenarios(
+    battery = []
+    for s in make_scenarios(
         ne39, 100, np.random.SeedSequence(777).spawn(2)[0], onset=2.0
-    )
-    worst = {"adaptive": 0.0, "integral": 0.0}
-    for s in battery:
+    ):
         coeffs = s.basis.coeffs.copy()
         coeffs[:, :-1] = 0.0
-        basis = BasisSignal(s.basis.eta, coeffs, s.basis.dt_ref)
-        for name, ctrl in pair:
-            traj = rollout(ne39, ctrl, basis, s.dist, horizon=17.0, dt=0.02)
-            tail = float(np.abs(traj.omega[traj.t >= 15.0 - 1e-9]).max())
-            worst[name] = max(worst[name], tail)
+        battery.append(Scenario(s.dist, BasisSignal(s.basis.eta, coeffs, s.basis.dt_ref)))
+    worst = {}
+    for name, ctrl in pair:
+        trajs = rollout_batch(
+            ne39, ctrl, battery, horizon=17.0, dt=0.02, record=("omega",)
+        )
+        worst[name] = max(
+            float(np.abs(traj.omega[traj.t >= 15.0 - 1e-9]).max()) for traj in trajs
+        )
     # droop cannot remove the offset of a sustained step
     dist = Disturbance(steps=((20, 0.5, 2.0),))
     traj = rollout(
@@ -172,12 +177,13 @@ def test_adaptive_training_wins_cost_comparison(ne39, trained, capsys):
     )
     means = {}
     for kind in ("droop", "integral", "adaptive"):
-        rest, trans = [], []
-        for s in test_scens:
-            traj = rollout(ne39, trained[kind], s.basis, s.dist, horizon=15.0, dt=0.01)
-            rest.append(restoration_cost(traj))
-            trans.append(transient_loss(traj, cost))
-        means[kind] = (float(np.mean(rest)), float(np.mean(trans)))
+        trajs = rollout_batch(
+            ne39, trained[kind], test_scens, horizon=15.0, dt=0.01, record=("omega", "u")
+        )
+        means[kind] = (
+            float(np.mean([restoration_cost(traj) for traj in trajs])),
+            float(np.mean([transient_loss(traj, cost) for traj in trajs])),
+        )
     rest_ai = means["adaptive"][0] / means["integral"][0]
     rest_ad = means["adaptive"][0] / means["droop"][0]
     trans_ai = means["adaptive"][1] / means["integral"][1]
@@ -360,13 +366,10 @@ def test_adaptive_beats_integral_under_noise(ne39, trained, capsys):
     battery = make_scenarios(ne39, 30, 555, onset=0.0, noise_eps=0.03)
     means = {}
     for kind in ("adaptive", "integral"):
-        vals = [
-            restoration_cost(
-                rollout(ne39, trained[kind], s.basis, s.dist, horizon=15.0, dt=0.01)
-            )
-            for s in battery
-        ]
-        means[kind] = float(np.mean(vals))
+        trajs = rollout_batch(
+            ne39, trained[kind], battery, horizon=15.0, dt=0.01, record=("omega",)
+        )
+        means[kind] = float(np.mean([restoration_cost(traj) for traj in trajs]))
     ratio = means["adaptive"] / means["integral"]
     elapsed = time.perf_counter() - t0
     ok = ratio <= 0.7 and elapsed <= 180

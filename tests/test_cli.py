@@ -168,13 +168,37 @@ class TestEvaluate:
         )
 
     def test_bad_thread_cap_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SWINGFREQ_THREADS", "0")
-        rc = main([
+        for bad in ("0", "abc"):
+            monkeypatch.setenv("SWINGFREQ_THREADS", bad)
+            rc = main([
+                "evaluate", "--case", "two_bus", "--controller", "droop",
+                "--scenarios", "1", "--out", str(tmp_path),
+            ])
+            assert rc == 2
+            assert "SWINGFREQ_THREADS" in capsys.readouterr().err
+
+    def test_equilibrium_solved_once_per_command(self, tmp_path, monkeypatch):
+        from swingfreq import cli, dynamics, netmodel
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return netmodel.solve_equilibrium(*args, **kwargs)
+
+        for mod in (cli, dynamics):
+            monkeypatch.setattr(mod, "solve_equilibrium", counting)
+        assert main([
             "evaluate", "--case", "two_bus", "--controller", "droop",
-            "--scenarios", "1", "--out", str(tmp_path),
-        ])
-        assert rc == 2
-        assert "SWINGFREQ_THREADS" in capsys.readouterr().err
+            "--controller", "integral", "--scenarios", "3", "--out", str(tmp_path),
+        ]) == 0
+        assert len(calls) == 1
+        assert main([
+            "certify", "--case", "two_bus", "--controller", "integral",
+            "--scenarios", "3", "--calibration", "2", "--samples", "50",
+            "--out", str(tmp_path),
+        ]) == 0
+        assert len(calls) == 2
 
     def test_nothing_to_evaluate_exits_2(self, tmp_path, capsys):
         rc = main(["evaluate", "--case", "two_bus", "--out", str(tmp_path)])

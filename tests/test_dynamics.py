@@ -8,16 +8,19 @@ from swingfreq.controllers import (
     DroopController,
     LinearController,
     MonotonePWLController,
+    SaturatedController,
 )
 from swingfreq.dynamics import (
     BasisSignal,
     Disturbance,
     IntegrationError,
+    Scenario,
     SystemState,
     equilibrium_state,
     make_constant_basis,
     make_sinusoid_basis,
     rollout,
+    rollout_batch,
     step,
 )
 from swingfreq.netmodel import Network, grad_S
@@ -238,6 +241,99 @@ class TestRollout:
         np.testing.assert_allclose(traj.delta[-1], ref[:2], atol=1e-7)
         np.testing.assert_allclose(traj.omega[-1], ref[2:4], atol=1e-7)
         np.testing.assert_allclose(traj.a_hat[-1].ravel(), ref[4:], atol=1e-7)
+
+
+class TestRolloutBatch:
+    @staticmethod
+    def battery(net, delta_star, n_features=3):
+        """Noise, a mid-horizon onset, two onsets in one scenario, and an explicit x0."""
+        rng = np.random.default_rng(2)
+        x0 = SystemState(
+            delta_star + 0.01 * rng.standard_normal(net.n),
+            0.02 * rng.standard_normal(net.n),
+            0.05 * rng.standard_normal((net.n, n_features)),
+        )
+        return [
+            Scenario(Disturbance(steps=((30, -0.8, 0.0), (9, 0.5, 0.3))),
+                     make_sinusoid_basis(net.n, 2)),
+            Scenario(Disturbance(steps=((4, 0.6, 0.5),), noise_eps=0.03, seed=17),
+                     make_sinusoid_basis(net.n, 1)),
+            Scenario(Disturbance(steps=((12, 0.4, 0.5),)), make_sinusoid_basis(net.n, 3), x0),
+        ]
+
+    def test_rollout_matches_stepping(self, ne39, ne39_eq):
+        # `step` draws its own injections and noise, so this pins the stacked
+        # step schedule, noise stream and initial states against them
+        ctrl = AdaptiveController.initial(MonotonePWLController.initial(ne39.n), 3)
+        for s in self.battery(ne39, ne39_eq):
+            traj = rollout(ne39, ctrl, s.basis, s.dist, horizon=1.0, x0=s.x0)
+            state = s.x0 or equilibrium_state(ne39, ctrl, ne39_eq)
+            rng = np.random.default_rng(s.dist.seed)
+            for k in range(100):
+                np.testing.assert_allclose(traj.omega[k], state.omega, rtol=0, atol=1e-12)
+                state = step(ne39, state, ctrl, s.basis, s.dist, t=k * 0.01, rng=rng)
+            np.testing.assert_allclose(traj.omega[-1], state.omega, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.a_hat[-1], state.a_hat, rtol=0, atol=1e-12)
+
+    def test_rows_match_lone_rollouts(self, ne39, ne39_eq):
+        # batch rows may differ from a lone rollout only by the rounding of
+        # the batched network product
+        n = ne39.n
+        pwl = MonotonePWLController.initial(n).with_raw_parameters(
+            np.random.default_rng(0).normal(size=n * 20)
+        )
+        controllers = [
+            DroopController.initial(n),
+            pwl,
+            AdaptiveController.initial(pwl, 3),
+            SaturatedController(AdaptiveController.initial(pwl, 3), 0.2),
+        ]
+        for ctrl in controllers:
+            scens = self.battery(ne39, ne39_eq, ctrl.n_features)
+            for method in ("rk4", "euler"):
+                trajs = rollout_batch(
+                    ne39, ctrl, scens, horizon=1.0, dt=0.01, method=method,
+                    delta_star=ne39_eq,
+                )
+                assert len(trajs) == len(scens)
+                for s, got in zip(scens, trajs):
+                    ref = rollout(ne39, ctrl, s.basis, s.dist, horizon=1.0, dt=0.01,
+                                  x0=s.x0, method=method)
+                    np.testing.assert_allclose(got.omega, ref.omega, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got.u, ref.u, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got.delta, ref.delta, rtol=0, atol=1e-12)
+
+    def test_fixed_battery_is_reproducible(self, ne39, ne39_eq):
+        ctrl = AdaptiveController.initial(MonotonePWLController.initial(ne39.n), 3)
+        scens = self.battery(ne39, ne39_eq)
+        a = rollout_batch(ne39, ctrl, scens, horizon=0.5, dt=0.01)
+        b = rollout_batch(ne39, ctrl, scens, horizon=0.5, dt=0.01)
+        for ta, tb in zip(a, b):
+            np.testing.assert_array_equal(ta.omega, tb.omega)
+            np.testing.assert_array_equal(ta.u, tb.u)
+
+    def test_records_only_requested_histories(self, two_bus):
+        scens = [Scenario(Disturbance(steps=((0, 0.3, 0.5),)), make_sinusoid_basis(2, 1))] * 2
+        trajs = rollout_batch(two_bus, DroopController.initial(2), scens, horizon=1.0,
+                              record=("omega", "u"))
+        for traj in trajs:
+            assert traj.delta is None and traj.p is None and traj.a_hat is None
+            assert traj.omega.shape == traj.u.shape == (101, 2)
+            tail = traj.tail(0.5)
+            assert tail.n_records == 51 and tail.delta is None
+        with pytest.raises(ValueError, match="record"):
+            rollout_batch(two_bus, DroopController.initial(2), scens, horizon=1.0,
+                          record=("u",))
+
+    def test_divergence_names_scenario_and_step(self, two_bus):
+        ctrl = LinearController(np.array([-300.0, -300.0]))
+        quiet = Scenario(Disturbance(), make_constant_basis(2))
+        kicked = Scenario(Disturbance(steps=((0, 0.5, 0.0),)), make_constant_basis(2))
+        with pytest.raises(IntegrationError, match=r"step (\d+)") as lone:
+            rollout(two_bus, ctrl, kicked.basis, kicked.dist, horizon=8.0, method="euler")
+        k = lone.value.args[0].split("step ")[1].split()[0]
+        with pytest.raises(IntegrationError, match=rf"in scenario 1 at step {k} "):
+            rollout_batch(two_bus, ctrl, [quiet, kicked], horizon=8.0, method="euler")
 
 
 class TestTrajectoryExport:
