@@ -133,13 +133,11 @@ class Controller(ABC):
         phi: np.ndarray | None = None,
         a_hat: np.ndarray | None = None,
     ) -> tuple[np.ndarray, object]:
-        """`control` plus an opaque cache `control_vjp_raw` can reuse."""
+        """`control` plus an empty cache slot; `perfbench/spans.py` wraps this name."""
         return self.control(omega, phi, a_hat), None
 
     @abstractmethod
-    def control_vjp_raw(
-        self, omega: np.ndarray, bar_u: np.ndarray, cache: object = None
-    ) -> np.ndarray:
+    def control_vjp_raw(self, omega: np.ndarray, bar_u: np.ndarray) -> np.ndarray:
         """Accumulate d(sum bar_u * u)/d(raw), summing over leading axes."""
 
     def adaptation(self, omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -203,7 +201,7 @@ class DroopController(Controller):
     def with_raw_parameters(self, raw):
         return DroopController(self._check_raw(raw, self.n))
 
-    def control_vjp_raw(self, omega, bar_u, cache=None):
+    def control_vjp_raw(self, omega, bar_u):
         contrib = np.asarray(bar_u, dtype=float) * np.asarray(omega, dtype=float)
         flat = contrib.reshape(-1, self.n).sum(axis=0)
         return flat * self._dgains
@@ -287,10 +285,6 @@ class MonotonePWLController(Controller):
     def control(self, omega, phi=None, a_hat=None):
         return np.einsum("...nj,nj->...n", self._overlaps(omega), self.slopes)
 
-    def control_cached(self, omega, phi=None, a_hat=None):
-        L = self._overlaps(omega)
-        return np.einsum("...nj,nj->...n", L, self.slopes), L
-
     def control_wrt_omega(self, omega):
         omega = np.asarray(omega, dtype=float)
         seg = np.searchsorted(self.breakpoints, omega, side="left")
@@ -303,9 +297,8 @@ class MonotonePWLController(Controller):
         raw = self._check_raw(raw, self.raw_slopes.size)
         return MonotonePWLController(self.breakpoints, raw.reshape(self.raw_slopes.shape))
 
-    def control_vjp_raw(self, omega, bar_u, cache=None):
-        L = self._overlaps(omega) if cache is None else cache
-        bar = np.asarray(bar_u, dtype=float)[..., None] * L
+    def control_vjp_raw(self, omega, bar_u):
+        bar = np.asarray(bar_u, dtype=float)[..., None] * self._overlaps(omega)
         grad = bar.reshape(-1, *self.raw_slopes.shape).sum(axis=0)
         return (grad * self._dslopes).ravel()
 
@@ -344,7 +337,7 @@ class LinearController(Controller):
     def with_raw_parameters(self, raw):
         return LinearController(self._check_raw(raw, self.n))
 
-    def control_vjp_raw(self, omega, bar_u, cache=None):
+    def control_vjp_raw(self, omega, bar_u):
         contrib = np.asarray(bar_u, dtype=float) * np.asarray(omega, dtype=float)
         return contrib.reshape(-1, self.n).sum(axis=0)
 
@@ -450,11 +443,6 @@ class AdaptiveController(Controller):
         phi, a_hat = self._check_view(phi, a_hat)
         return self.base.control(omega) + _dot_last(phi, a_hat)
 
-    def control_cached(self, omega, phi=None, a_hat=None):
-        phi, a_hat = self._check_view(phi, a_hat)
-        u_base, cache = self.base.control_cached(omega)
-        return u_base + _dot_last(phi, a_hat), cache
-
     def control_wrt_omega(self, omega):
         return self.base.control_wrt_omega(omega)
 
@@ -493,11 +481,9 @@ class AdaptiveController(Controller):
             self.feature_mode,
         )
 
-    def control_vjp_raw(self, omega, bar_u, cache=None):
-        grad = np.zeros(self._n_base_raw + self.raw_rate.size)
-        base_grad = self.base.control_vjp_raw(omega, bar_u, cache)
-        grad[: base_grad.size] = base_grad
-        return grad
+    def control_vjp_raw(self, omega, bar_u):
+        base_grad = self.base.control_vjp_raw(omega, bar_u)
+        return np.concatenate([base_grad, np.zeros(self.raw_rate.size)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,7 +530,7 @@ class SaturatedController(Controller):
     def with_raw_parameters(self, raw):
         return SaturatedController(self.inner.with_raw_parameters(raw), self.u_max)
 
-    def control_vjp_raw(self, omega, bar_u, cache=None):
+    def control_vjp_raw(self, omega, bar_u):
         raise ControllerError("training through saturation is not supported")
 
 

@@ -10,18 +10,20 @@ the adaptive estimates of the active controller:
 with net injection p_i(t) = p_star_i + phi_i(t).a_i plus step disturbances
 and optional per-step uniform noise.  The default integrator is classical
 RK4 with the smooth basis evaluated at sub-stage times; explicit Euler is
-available behind a flag and is what the training module differentiates
-through.  Step injections and noise are held constant across one integration
-step (zero-order hold anchored at the step start), so trajectories are
-piecewise-smooth with breakpoints exactly on the recording grid.
+available behind a flag and is the forward pass the training module
+differentiates through.  Step injections and noise are held constant across
+one integration step (zero-order hold anchored at the step start), so
+trajectories are piecewise-smooth with breakpoints exactly on the recording
+grid.
 
 Angles are re-projected to the COI gauge (zero mean) after every step.
 
-There is one integrator: `rollout_batch` advances a whole scenario battery
-with state shape (B, n), evaluating features, injections and the controller
-for every scenario in one call per stage.  `rollout` and `step` are its
-batch-of-one cases, and `ScenarioStack` is the one path from scenarios to
-stacked arrays, shared with the training engine.
+There is one integrator, `_integrate`: it advances a `ScenarioStack` (the one
+path from scenarios to stacked arrays) with state shape (B, n), evaluating
+features, injections and the controller for every scenario in one call per
+stage, and returns time-major histories.  `rollout_batch` wraps it for
+scenario batteries, `rollout` and `step` are the batch-of-one cases, and
+training calls it directly for its Euler forward pass.
 """
 
 from __future__ import annotations
@@ -251,6 +253,7 @@ class ScenarioStack:
                 raise ValueError("scenarios in a batch must share the basis layout")
         n = net.n
         self.B, self.n, self.dt, self.dt_ref = B, n, dt, first.dt_ref
+        self.n_steps = n_steps
         self.eta = np.stack([s.basis.eta for s in scenarios])
         self.coeffs = np.stack([s.basis.coeffs for s in scenarios])
         # step injections: the rows at k = 0, then a scenario's whole row again
@@ -456,6 +459,41 @@ def _n_steps(horizon: float, dt: float) -> int:
     return n_steps
 
 
+def _integrate(
+    net: Network, controller: Controller, stack: ScenarioStack, method: str, record
+) -> dict[str, np.ndarray]:
+    """Integrate a stacked battery for `stack.n_steps` steps of `stack.dt`.
+
+    Returns time-major histories, (K+1, B, n) and (K+1, B, n, l) for a_hat,
+    for the names in `record`; time-major keeps each step's batch contiguous
+    for the adjoint sweep.  Raises IntegrationError naming scenario and step.
+    """
+    n_steps, dt = stack.n_steps, stack.dt
+    B, n, l = stack.B, stack.n, controller.n_features
+    hist = {
+        name: np.empty((n_steps + 1, B, n) + ((l,) if name == "a_hat" else ()))
+        for name in record
+    }
+    d, w, a = stack.delta0, stack.omega0, stack.a0
+    p_steps = stack.steps0
+    noise = stack.noise()
+    for k in range(n_steps + 1):
+        t = k * dt
+        p_steps = stack.step_injection(k, p_steps)
+        nz = next(noise)
+        p_extra = p_steps if nz is None else p_steps + nz
+        p, view = _forcing(net, controller, stack, t, p_extra)
+        k1 = _derivs(net, controller, d, w, a, p, view)
+        now = {"delta": d, "omega": w, "u": k1[3], "p": p, "a_hat": a}
+        for name, arr in hist.items():
+            arr[k] = now[name]
+        if k == n_steps:
+            break
+        d, w, a = _advance(net, controller, stack, d, w, a, t, dt, p_extra, method, k1)
+        _check_finite(d, w, a, k + 1, t + dt)
+    return hist
+
+
 def rollout_batch(
     net: Network,
     controller: Controller,
@@ -480,32 +518,11 @@ def rollout_batch(
         raise ValueError(f"record must name omega and only histories among {RECORDS}")
     n_steps = _n_steps(horizon, dt)
     stack = ScenarioStack(net, scenarios, dt, n_steps, controller.n_features, delta_star)
-    B, n, l = stack.B, stack.n, controller.n_features
-    hist = {
-        name: np.empty((B, n_steps + 1, n) + ((l,) if name == "a_hat" else ()))
-        for name in record
-    }
-    d, w, a = stack.delta0, stack.omega0, stack.a0
-    p_steps = stack.steps0
-    noise = stack.noise()
-    for k in range(n_steps + 1):
-        t = k * dt
-        p_steps = stack.step_injection(k, p_steps)
-        nz = next(noise)
-        p_extra = p_steps if nz is None else p_steps + nz
-        p, view = _forcing(net, controller, stack, t, p_extra)
-        k1 = _derivs(net, controller, d, w, a, p, view)
-        now = {"delta": d, "omega": w, "u": k1[3], "p": p, "a_hat": a}
-        for name, arr in hist.items():
-            arr[:, k] = now[name]
-        if k == n_steps:
-            break
-        d, w, a = _advance(net, controller, stack, d, w, a, t, dt, p_extra, method, k1)
-        _check_finite(d, w, a, k + 1, t + dt)
+    hist = _integrate(net, controller, stack, method, record)
     t_rec = np.arange(n_steps + 1) * dt
     return tuple(
-        Trajectory(t_rec, *(hist[r][b] if r in hist else None for r in RECORDS), dt)
-        for b in range(B)
+        Trajectory(t_rec, *(hist[r][:, b] if r in hist else None for r in RECORDS), dt)
+        for b in range(stack.B)
     )
 
 
@@ -527,8 +544,6 @@ def rollout(
     disturbance seed.  The initial condition defaults to the no-disturbance
     equilibrium (`delta_star`, solved for when not given) with zero estimates.
     """
-    if basis.n != net.n:
-        raise ValueError("basis bus count does not match the network")
     scen = Scenario(dist if dist is not None else Disturbance(), basis, x0)
     traj = rollout_batch(
         net, controller, [scen],

@@ -6,15 +6,17 @@ The transient loss of one closed-loop trajectory is
 
 and training minimizes its batch average by gradient descent on the raw
 (unconstrained) controller parameters.  Gradients are exact reverse-mode
-derivatives of the discretized rollout: the forward pass is explicit Euler
-at the reference step (the cadence the basis signals are defined over), the
-backward pass walks the same recurrence with hand-written vector-Jacobian
-products for every term: network coupling via Hessian-vector products,
-controller terms via the hooks the controllers expose.  The max is handled
-as a hard max with the subgradient placed at the earliest maximizing
-sample; a log-sum-exp softening is available behind a flag.  Certification
-and evaluation use the RK4 path in `dynamics`; the Euler engine here exists
-to keep the adjoint exact and the memory linear in the horizon.
+derivatives of the discretized rollout.  The forward pass is the explicit
+Euler case of the one integrator in `dynamics`, at the reference step (the
+cadence the basis signals are defined over); certification and evaluation
+use its RK4 case.  The backward pass walks the same recurrence with
+hand-written vector-Jacobian products for every term: network coupling via
+Hessian-vector products, controller terms via the hooks the controllers
+expose.  It keeps only the angle, frequency and control histories and
+recomputes features and controller terms per step, so memory stays linear
+in the horizon.  The max is handled as a hard max with the subgradient
+placed at the earliest maximizing sample; a log-sum-exp softening is
+available behind a flag.
 
 Everything is deterministic given the seeds: scenario draws come from
 spawned `SeedSequence` children, and the per-epoch shuffle is keyed by
@@ -34,7 +36,6 @@ from .controllers import (
     Controller,
     ControllerError,
     SaturatedController,
-    _dot_last,
 )
 from .dynamics import (
     Disturbance,
@@ -42,10 +43,11 @@ from .dynamics import (
     Scenario,
     ScenarioStack,
     Trajectory,
+    _integrate,
     _n_steps,
     make_sinusoid_basis,
 )
-from .netmodel import Network, grad_S, hess_S_vecprod, solve_equilibrium
+from .netmodel import Network, hess_S_vecprod, solve_equilibrium
 
 __all__ = [
     "AdamState",
@@ -179,87 +181,22 @@ def restoration_cost(
     return float(np.abs(traj.omega[mask]).mean())
 
 
-# --- batched Euler engine ---------------------------------------------------
+# --- Euler forward pass and adjoint ------------------------------------------
 
 
-class _Batch(ScenarioStack):
-    """Stacked scenario arrays plus the tables of one forward/backward sweep.
+def _forward(net, controller, scenarios, dt, T, delta_star):
+    """Euler rollout of the batch through the dynamics core.
 
-    The basis features and the scheduled net injection are identical across
-    epochs for a given step grid, so they are materialized once here for the
-    whole horizon instead of being recomputed twice per step by the forward
-    and adjoint sweeps.
+    Returns the scenario stack (the adjoint reads its features again) and the
+    time-major histories the adjoint needs: delta and omega (K+1, B, n) and
+    the K controls that drive the steps.
     """
-
-    def __init__(
-        self,
-        net: Network,
-        controller: Controller,
-        scenarios: Sequence[Scenario],
-        dt: float,
-        n_steps: int,
-        delta_star: np.ndarray | None,
-    ):
-        if isinstance(controller, SaturatedController):
-            raise ControllerError("training through saturation is not supported")
-        super().__init__(net, scenarios, dt, n_steps, controller.n_features, delta_star)
-        self.n_steps = n_steps
-        # steps already on at k = 0 fold into the schedule unless a later
-        # event has to re-branch it
-        kidx = np.arange(n_steps) * dt / self.dt_ref
-        self.phi = np.empty((n_steps,) + self.coeffs.shape)
-        self.phi[..., -1] = 1.0
-        if self.eta.shape[-1]:
-            np.sin(kidx[:, None, None, None] * self.eta, out=self.phi[..., :-1])
-        self.p_sched = net.p_star + _dot_last(self.phi, self.coeffs)
-        if not self.events:
-            self.p_sched = self.p_sched + self.steps0
-
-
-def _forward(net, controller, batch: _Batch, keep_cache: bool = False):
-    """Euler rollout over the whole batch, keeping the histories the adjoint needs.
-
-    With keep_cache the per-step controller caches (piecewise-linear segment
-    overlaps) come back too, so the adjoint sweep does not recompute them.
-    """
-    K, B, n = batch.n_steps, batch.B, batch.n
-    adaptive = isinstance(controller, AdaptiveController)
-    view = controller.select_features(batch.phi) if adaptive else None
-    delta_h = np.empty((K + 1, B, n))
-    omega_h = np.empty((K + 1, B, n))
-    u_h = np.empty((K, B, n))
-    caches = [None] * K if keep_cache else None
-    delta, omega, a_hat = batch.delta0.copy(), batch.omega0.copy(), batch.a0.copy()
-    p_now = batch.steps0 if batch.events else None
-    p_sched, noise = batch.p_sched, batch.noise()
-    D, M = net.D, net.M
-    dt = batch.dt
-    # np.add.reduce(x, -1)/n == x.mean(-1) bit for bit, minus the wrapper cost
-    rsum = np.add.reduce
-    for k in range(K):
-        delta_h[k], omega_h[k] = delta, omega
-        if p_now is not None:
-            p_now = batch.step_injection(k, p_now)
-        u, cache = controller.control_cached(
-            omega, view[k] if adaptive else None, a_hat if adaptive else None
-        )
-        u_h[k] = u
-        if caches is not None:
-            caches[k] = cache
-        p = p_sched[k] if p_now is None else p_sched[k] + p_now
-        nz = next(noise)
-        if nz is not None:
-            p = p + nz
-        d_omega = (p - D * omega - u - grad_S(net, delta)) / M
-        new_delta = delta + dt * (omega - rsum(omega, -1, keepdims=True) / n)
-        delta = new_delta - rsum(new_delta, -1, keepdims=True) / n
-        if adaptive:
-            a_hat = a_hat + dt * controller.adaptation(omega, view[k])
-        omega = omega + dt * d_omega
-        if not (np.isfinite(delta).all() and np.isfinite(omega).all()):
-            raise IntegrationError(f"non-finite state at step {k + 1}")
-    delta_h[K], omega_h[K] = delta, omega
-    return delta_h, omega_h, u_h, caches
+    if isinstance(controller, SaturatedController):
+        raise ControllerError("training through saturation is not supported")
+    n_steps = _n_steps(T, dt)
+    stack = ScenarioStack(net, scenarios, dt, n_steps, controller.n_features, delta_star)
+    hist = _integrate(net, controller, stack, "euler", ("delta", "omega", "u"))
+    return stack, hist["delta"], hist["omega"], hist["u"][:-1]
 
 
 def _loss_terms(omega_h, u_h, cost: CostSpec, dt, smooth_max: bool):
@@ -283,43 +220,37 @@ def _loss_terms(omega_h, u_h, cost: CostSpec, dt, smooth_max: bool):
     return float(loss_b.mean()), seed_w, seed_u
 
 
-def _backward(net, controller, batch: _Batch, delta_h, omega_h, seed_w, seed_u, caches=None):
+def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, seed_w, seed_u):
     """Adjoint sweep of the Euler recurrence; returns the raw-parameter gradient."""
-    K, n = batch.n_steps, batch.n
+    K, n = stack.n_steps, stack.n
     adaptive = isinstance(controller, AdaptiveController)
-    view = controller.select_features(batch.phi) if adaptive else None
     grad = np.zeros(controller.raw_parameters().size)
-    lam_d = np.zeros((batch.B, batch.n))
+    lam_d = np.zeros((stack.B, n))
     lam_w = seed_w[K].copy()
-    lam_a = np.zeros((batch.B, batch.n, controller.n_features))
-    dt = batch.dt
-    ndt = -dt
-    dtD = dt * net.D
-    M = net.M
-    rsum = np.add.reduce
+    lam_a = np.zeros((stack.B, n, controller.n_features))
+    dt = stack.dt
     for k in range(K - 1, -1, -1):
         delta, omega = delta_h[k], omega_h[k]
         # the zero-mean projection is symmetric and idempotent, so both the
         # delta->delta and omega->delta branches pull back through it once
-        lam_dp = lam_d - rsum(lam_d, -1, keepdims=True) / n
-        g_m = lam_w / M
-        bar_u = ndt * g_m + seed_u[k]
+        lam_dp = lam_d - np.add.reduce(lam_d, -1, keepdims=True) / n
+        g_m = lam_w / net.M
+        bar_u = -dt * g_m + seed_u[k]
         new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta, g_m)
         new_lam_w = (
             lam_w
             + seed_w[k]
             + dt * lam_dp
-            - dtD * g_m
+            - dt * net.D * g_m
             + bar_u * controller.control_wrt_omega(omega)
         )
-        grad += controller.control_vjp_raw(
-            omega, bar_u, caches[k] if caches is not None else None
-        )
+        grad += controller.control_vjp_raw(omega, bar_u)
         if adaptive:
-            g_a, bar_w = controller.adaptation_vjp(omega, view[k], dt * lam_a)
+            view = controller.select_features(stack.features(k * dt))
+            g_a, bar_w = controller.adaptation_vjp(omega, view, dt * lam_a)
             grad += g_a
             new_lam_w += bar_w
-            lam_a = lam_a + controller.control_vjp_ahat(view[k], bar_u)
+            lam_a = lam_a + controller.control_vjp_ahat(view, bar_u)
         lam_d, lam_w = new_lam_d, new_lam_w
         if not np.isfinite(lam_w).all():
             raise IntegrationError(f"non-finite adjoint at step {k}")
@@ -337,9 +268,7 @@ def batch_loss(
     delta_star: np.ndarray | None = None,
 ) -> float:
     """Batch-mean transient loss of the Euler-discretized closed loop."""
-    n_steps = _n_steps(cost.T, dt)
-    batch = _Batch(net, controller, scenarios, dt, n_steps, delta_star)
-    _, omega_h, u_h, _ = _forward(net, controller, batch)
+    _, _, omega_h, u_h = _forward(net, controller, scenarios, dt, cost.T, delta_star)
     return _loss_terms(omega_h, u_h, cost, dt, smooth_max)[0]
 
 
@@ -355,21 +284,20 @@ def grad_loss(
 ) -> tuple[float, np.ndarray]:
     """Loss and its exact gradient with respect to the raw parameter vector.
 
-    Raises IntegrationError (with the step index) if the forward state or the
-    adjoint sweep produces non-finite values.
+    Raises IntegrationError naming the step (and, for the forward state, the
+    scenario in a batch) if the forward state or the adjoint sweep produces
+    non-finite values.
     """
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
-    n_steps = _n_steps(cost.T, dt)
-    batch = _Batch(net, controller, scenarios, dt, n_steps, delta_star)
     # overflow here is a divergence signal, not a bug: it surfaces as
     # IntegrationError and the training loop falls back to good parameters
     with np.errstate(over="ignore", invalid="ignore"):
-        delta_h, omega_h, u_h, caches = _forward(net, controller, batch, keep_cache=True)
-        loss, seed_w, seed_u = _loss_terms(omega_h, u_h, cost, dt, smooth_max)
-        grad = _backward(
-            net, controller, batch, delta_h, omega_h, seed_w, seed_u, caches
+        stack, delta_h, omega_h, u_h = _forward(
+            net, controller, scenarios, dt, cost.T, delta_star
         )
+        loss, seed_w, seed_u = _loss_terms(omega_h, u_h, cost, dt, smooth_max)
+        grad = _backward(net, controller, stack, delta_h, omega_h, seed_w, seed_u)
     if not np.all(np.isfinite(grad)):
         raise IntegrationError("non-finite gradient in the adjoint sweep")
     return loss, grad
@@ -452,7 +380,7 @@ def train(
     reproduces an uninterrupted run exactly.  On divergence (non-finite
     values, or the epoch loss exploding past divergence_factor times the
     first epoch's) the loop stops and the report carries the last finished
-    epoch's parameters with `aborted` set.
+    epoch's parameters and optimizer state with `aborted` set.
     """
     if epochs < 0 or batch_size < 1:
         raise ValueError("epochs must be >= 0 and batch_size >= 1")
@@ -463,7 +391,8 @@ def train(
     adam = optimizer if optimizer is not None else AdamState.zeros(raw.size)
     losses: list[float] = []
     first_loss = None
-    good_raw = raw.copy()
+    # Adam rebinds its arrays on update, so holding them is a snapshot
+    good_raw, good_adam = raw.copy(), (adam.m, adam.v, adam.t)
     aborted = False
     for epoch in range(start_epoch, start_epoch + epochs):
         order = np.random.default_rng([seed, epoch]).permutation(len(scenarios))
@@ -487,9 +416,10 @@ def train(
             aborted = True
         if aborted:
             raw = good_raw
+            adam.m, adam.v, adam.t = good_adam
             break
         losses.append(avg)
-        good_raw = raw.copy()
+        good_raw, good_adam = raw.copy(), (adam.m, adam.v, adam.t)
         if callback is not None:
             callback(epoch, avg)
     final = controller.with_raw_parameters(raw)
@@ -572,7 +502,6 @@ def gradient_check(
     gen = np.random.default_rng(seed)
     raw0 = controller.raw_parameters()
     delta_star = solve_equilibrium(net)
-    n_steps = _n_steps(cost.T, dt)
     cache: dict[int, tuple[np.ndarray, bool]] = {}
     entries: list[tuple[int, int, float]] = []
     skipped = 0
@@ -583,8 +512,7 @@ def gradient_check(
         coord = int(gen.integers(raw0.size))
         scen = scenarios[s_idx]
         if s_idx not in cache:
-            batch = _Batch(net, controller, [scen], dt, n_steps, delta_star)
-            omega_h = _forward(net, controller, batch)[1]
+            omega_h = _forward(net, controller, [scen], dt, cost.T, delta_star)[2]
             grad = grad_loss(
                 net, controller, scen, cost,
                 dt=dt, smooth_max=smooth_max, delta_star=delta_star,

@@ -14,6 +14,7 @@ from swingfreq.dynamics import (
     Trajectory,
     make_constant_basis,
     rollout,
+    rollout_batch,
 )
 from swingfreq.training import (
     AdamState,
@@ -150,6 +151,14 @@ class TestBatchEngine:
             got = batch_loss(two_bus, ctrl, [s], cost, dt=0.01)
             traj = rollout(two_bus, ctrl, s.basis, s.dist, horizon=cost.T, dt=0.01, method="euler")
             assert got == pytest.approx(transient_loss(traj, cost), abs=1e-12)
+
+    def test_mid_horizon_onset_battery_matches_rollout_batch(self, two_bus):
+        cost = make_cost_spec(two_bus, 1)
+        scens = make_scenarios(two_bus, 3, 17, onset=1.5)
+        ctrl = AdaptiveController.initial(MonotonePWLController.initial(2), 3)
+        trajs = rollout_batch(two_bus, ctrl, scens, horizon=cost.T, method="euler")
+        expected = np.mean([transient_loss(t, cost) for t in trajs])
+        assert batch_loss(two_bus, ctrl, scens, cost) == pytest.approx(expected, abs=1e-12)
 
     def test_batch_mean(self, two_bus):
         cost = make_cost_spec(two_bus, 1)
@@ -299,6 +308,22 @@ class TestTrain:
         assert rep.aborted
         assert np.all(np.isfinite(rep.controller.raw_parameters()))
 
+    def test_abort_restores_optimizer_state(self, two_bus):
+        # lr 100 finishes one epoch and then diverges partway through the next
+        cost = make_cost_spec(two_bus, 1)
+        scens = make_scenarios(two_bus, 4, 2)
+        ctrl = DroopController.initial(2)
+        rep = train(two_bus, ctrl, scens, cost, epochs=10, batch_size=2, lr=100.0)
+        assert rep.aborted and len(rep.losses) >= 1
+        clean = train(two_bus, ctrl, scens, cost, epochs=len(rep.losses), batch_size=2, lr=100.0)
+        assert not clean.aborted
+        np.testing.assert_array_equal(rep.optimizer.m, clean.optimizer.m)
+        np.testing.assert_array_equal(rep.optimizer.v, clean.optimizer.v)
+        assert rep.optimizer.t == clean.optimizer.t
+        np.testing.assert_array_equal(
+            rep.controller.raw_parameters(), clean.controller.raw_parameters()
+        )
+
     def test_config_echo(self, two_bus):
         cost = make_cost_spec(two_bus, 1)
         scens = make_scenarios(two_bus, 4, 2)
@@ -316,3 +341,7 @@ def test_integration_error_names_step(two_bus):
     stiff = DroopController.initial(2).with_raw_parameters(np.full(2, 1e6))
     with pytest.raises(IntegrationError, match=r"step \d+"):
         grad_loss(two_bus, stiff, scen, cost)
+    # in a batch the cause also names the diverging scenario
+    pair = make_scenarios(two_bus, 2, 2)
+    with pytest.raises(IntegrationError, match=r"scenario \d+ at step \d+"):
+        grad_loss(two_bus, stiff, list(pair), cost)
