@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,11 +125,18 @@ def _load_checkpoint(path: str | Path):
         raise ControllerError(f"malformed checkpoint {p}: {exc}") from None
     if not isinstance(doc, dict):
         raise ControllerError(f"malformed checkpoint {p}: expected a JSON object")
-    if "controller" in doc:
-        ctrl = controller_from_dict(doc["controller"])
+    if "controller" not in doc:
+        return controller_from_dict(doc), None, None, []
+    ctrl = controller_from_dict(doc["controller"])
+    try:
         adam = AdamState.from_dict(doc["optimizer"]) if "optimizer" in doc else None
-        return ctrl, adam, doc.get("config"), list(doc.get("losses", []))
-    return controller_from_dict(doc), None, None, []
+    except KeyError as exc:
+        raise _missing_key(p, "optimizer", exc) from None
+    return ctrl, adam, doc.get("config"), list(doc.get("losses", []))
+
+
+def _missing_key(path, part: str, exc: KeyError) -> ControllerError:
+    return ControllerError(f"malformed checkpoint {path}: {part} lacks key {exc}")
 
 
 def _controller_spec(spec: str, net: Network) -> tuple[str, Controller]:
@@ -151,6 +159,8 @@ def _resolve_controller(args, net: Network) -> tuple[Controller, str]:
         label, ctrl = Path(args.checkpoint).stem, _load_checkpoint(args.checkpoint)[0]
     else:
         label, ctrl = _controller_spec(args.controller, net)
+    if getattr(args, "saturate", None) is not None:
+        ctrl = SaturatedController(ctrl, args.saturate)
     return _sized(ctrl, net), label
 
 
@@ -189,8 +199,6 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args) -> int:
     net = _resolve_case(args)
     ctrl, label = _resolve_controller(args, net)
-    if args.saturate is not None:
-        ctrl = SaturatedController(ctrl, args.saturate)
     scen = make_scenarios(net, 1, args.seed, noise_eps=args.noise, onset=EVAL_ONSET)[0]
     basis, dist = scen.basis, scen.dist
     if args.no_disturbance:
@@ -237,12 +245,15 @@ def cmd_train(args) -> int:
             )
         _sized(ctrl, net)
         keys = ("seed", "n_scenarios", "batch_size", "lr", "dt", "smooth_max")
-        seed, n_scen, batch_size, lr, dt, smooth = (cfg[k] for k in keys)
+        try:
+            seed, n_scen, batch_size, lr, dt, smooth = (cfg[k] for k in keys)
+            cost = CostSpec(
+                cfg["cost"]["gamma"], np.array(cfg["cost"]["c"]), cfg["cost"]["T"]
+            )
+            start = cfg["epochs_done"]
+        except KeyError as exc:
+            raise _missing_key(args.checkpoint, "config", exc) from None
         noise = cfg.get("noise", 0.0)
-        cost = CostSpec(
-            cfg["cost"]["gamma"], np.array(cfg["cost"]["c"]), cfg["cost"]["T"]
-        )
-        start = cfg["epochs_done"]
         ctype = cfg.get("controller_type", type(ctrl).__name__)
     else:
         ctrl, ctype = _resolve_controller(args, net)
@@ -260,7 +271,8 @@ def cmd_train(args) -> int:
     report = train(
         net, ctrl, scenarios, cost,
         epochs=args.epochs, batch_size=batch_size, lr=lr, seed=seed, dt=dt,
-        smooth_max=smooth, optimizer=adam, start_epoch=start, callback=progress,
+        smooth_max=smooth, optimizer=adam, start_epoch=start,
+        anchor_loss=losses_prev[0] if losses_prev else None, callback=progress,
     )
     epochs_done = start + len(report.losses)
     doc = {
@@ -407,9 +419,7 @@ def cmd_evaluate(args) -> int:
 def _zero_sinusoids(scen: Scenario) -> Scenario:
     coeffs = np.array(scen.basis.coeffs)
     coeffs[:, :-1] = 0.0
-    return Scenario(
-        scen.dist, BasisSignal(scen.basis.eta, coeffs, scen.basis.dt_ref), scen.x0
-    )
+    return replace(scen, basis=replace(scen.basis, coeffs=coeffs))
 
 
 def _certify_battery(
@@ -450,8 +460,6 @@ def _certify_battery(
 def cmd_certify(args) -> int:
     net = _resolve_case(args)
     ctrl, label = _resolve_controller(args, net)
-    if args.saturate is not None:
-        ctrl = SaturatedController(ctrl, args.saturate)
     if isinstance(ctrl, SaturatedController):
         print(
             "certification refused: saturated controllers are outside the "
@@ -464,20 +472,17 @@ def cmd_certify(args) -> int:
     battery = _certify_battery(net, ctrl, args.scenarios, batt_ss, delta_star)
     calibration = _certify_battery(net, ctrl, args.calibration, cal_ss, delta_star)
 
+    # one scenario per batch: a battery's histories would dominate memory
     def roll(scen: Scenario):
-        return rollout(
-            net, ctrl, scen.basis, scen.dist,
-            horizon=args.horizon, dt=args.dt, x0=scen.x0, delta_star=delta_star,
-        )
+        return rollout_batch(
+            net, ctrl, [scen], horizon=args.horizon, dt=args.dt,
+            delta_star=delta_star, record=("delta", "omega", "a_hat"),
+        )[0]
 
     cal_trajs = [roll(s) for s in calibration]
-    fit = fit_margin_constant(
-        cal_trajs, net, [s.basis for s in calibration], ctrl, delta_star
-    )
+    fit = fit_margin_constant(cal_trajs, net, calibration, ctrl, delta_star)
     reports = [
-        check_decrease(
-            roll(s), net, s.basis, ctrl, delta_star, tol_coeff=fit.tol_coeff
-        )
+        check_decrease(roll(s), net, s, ctrl, delta_star, tol_coeff=fit.tol_coeff)
         for s in battery
     ]
     worst = max(reports, key=lambda r: r.worst_margin)

@@ -20,14 +20,14 @@ the extreme-weight eigensolves give bounds valid at every region point, not
 just at sampled ones.  Sampled estimates are still computed as a cross-check
 and reported alongside.
 
-The decrease check differentiates V numerically.  Step disturbances switch
-on at known record indices and are constant afterwards, so within each
+The decrease check differentiates V numerically along the trajectory of a
+noise-free `Scenario`, whose disturbance gives the step schedule: steps
+switch on at known record indices and stay constant, so within each
 inter-onset segment they are folded into the constant-feature coefficient
-and the trajectory restricted to the segment solves a smooth ODE; V is
-differenced per segment (central differences inside, second-order one-sided
-stencils at segment ends), keeping the error O(dt^2) everywhere.  The
-tolerance constant c in `tol = c * dt^2` comes from `fit_margin_constant`,
-which measures the third derivative of V driving that stencil error.
+and the segment solves a smooth ODE.  V is differenced per segment (central
+inside, second-order one-sided at the ends), keeping the error O(dt^2); the
+constant c in `tol = c * dt^2` comes from `fit_margin_constant`, which
+measures the third derivative of V driving that stencil error.
 
 Everything here needs the true basis coefficients, so this module is
 simulation-side instrumentation: controllers never see it.
@@ -36,11 +36,12 @@ simulation-side instrumentation: controllers never see it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .controllers import AdaptiveController, Controller
-from .dynamics import BasisSignal, SystemState, Trajectory
+from .dynamics import BasisSignal, Scenario, SystemState, Trajectory
 from .netmodel import Network, hessian_S
 
 __all__ = [
@@ -140,7 +141,6 @@ class MarginFit:
     tol_coeff: float
     v3_max: float
     safety: float
-    raw_worst: dict
 
 
 def eval_Wp(net: Network, delta: np.ndarray, delta_star: np.ndarray) -> np.ndarray:
@@ -150,11 +150,18 @@ def eval_Wp(net: Network, delta: np.ndarray, delta_star: np.ndarray) -> np.ndarr
     return (net.b_edge * (np.cos(d0) - np.cos(d) + np.sin(d0) * (d0 - d))).sum(axis=-1)
 
 
-def _est_err(
-    a_hat: np.ndarray, coeffs_true: np.ndarray, rates: np.ndarray
-) -> np.ndarray:
-    err = a_hat - coeffs_true
-    return 0.5 * (err * err / rates).sum(axis=(-2, -1))
+def _energy(net, controller, delta_star, delta, omega, a_hat, coeffs):
+    """Kinetic, potential and estimation (0.0 without `coeffs`) parts of V; batched."""
+    kinetic = 0.5 * (net.M * omega**2).sum(axis=-1)
+    wp = eval_Wp(net, delta, delta_star)
+    if coeffs is None:
+        return kinetic, wp, 0.0
+    if coeffs.shape != a_hat.shape[-2:]:
+        raise ValueError(
+            f"estimate/coefficient shape mismatch: {a_hat.shape[-2:]} vs {coeffs.shape}"
+        )
+    err = a_hat - coeffs
+    return kinetic, wp, 0.5 * (err * err / controller.rates).sum(axis=(-2, -1))
 
 
 def eval_V(
@@ -173,18 +180,13 @@ def eval_V(
     when step disturbances have been folded into the constant feature).
     Non-adaptive controllers contribute no estimation term.
     """
-    kinetic = float(0.5 * (net.M * state.omega**2).sum())
-    wp = float(eval_Wp(net, state.delta, delta_star))
-    est = 0.0
-    if isinstance(controller, AdaptiveController):
-        if coeffs_true is None:
-            coeffs_true = controller.select_features(basis.coeffs)
-        if coeffs_true.shape != state.a_hat.shape:
-            raise ValueError(
-                f"estimate/coefficient shape mismatch: {state.a_hat.shape} vs "
-                f"{coeffs_true.shape}"
-            )
-        est = float(_est_err(state.a_hat, coeffs_true, controller.rates))
+    if not isinstance(controller, AdaptiveController):
+        coeffs_true = None
+    elif coeffs_true is None:
+        coeffs_true = controller.select_features(basis.coeffs)
+    kinetic, wp, est = map(float, _energy(
+        net, controller, delta_star, state.delta, state.omega, state.a_hat, coeffs_true
+    ))
     return LyapunovEval(V=kinetic + wp + est, Wp=wp, kinetic=kinetic, est_err=est)
 
 
@@ -248,115 +250,80 @@ def compute_gammas(
     )
 
 
-def _segments(traj: Trajectory) -> list[tuple[int, int, dict[int, float]]]:
-    """Split record indices at step onsets.
+def _segments(traj, net, scenario, controller, delta_star):
+    """Yield (start, V, dV/dt + sum_i D_i omega_i^2) per inter-onset segment.
 
-    Returns (start, end, active) triples covering [0, K]; `active` maps bus
-    index to the total step injection switched on at or before `start`.
+    The steps active at a segment's start are folded into the constant
+    feature.  dV/dt is central inside, one-sided at the ends (both second
+    order) and NaN on segments of fewer than 3 records.
     """
+    dist, dt = scenario.dist, traj.dt
+    if dist.noise_eps:
+        raise ValueError("the decrease check needs a noise-free scenario")
     n_steps = traj.n_records - 1
-    steps = [tuple(s) for s in traj.meta.get("steps", [])]
-    onsets = sorted(
-        {round(o / traj.dt) for _, _, o in steps if 0 < round(o / traj.dt) <= n_steps}
-    )
-    bounds = [0, *onsets, n_steps]
-    out = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        active: dict[int, float] = {}
-        for bus, mag, onset in steps:
-            if round(onset / traj.dt) <= s:
-                active[int(bus)] = active.get(int(bus), 0.0) + mag
-        out.append((s, e, active))
-    return out
-
-
-def _v_series(
-    traj: Trajectory,
-    net: Network,
-    basis: BasisSignal,
-    controller: Controller,
-    delta_star: np.ndarray,
-    start: int,
-    end: int,
-    active: dict[int, float],
-) -> np.ndarray:
-    """V at records start..end with active steps folded into the constant feature."""
-    sl = slice(start, end + 1)
-    kinetic = 0.5 * (net.M * traj.omega[sl] ** 2).sum(axis=-1)
-    wp = eval_Wp(net, traj.delta[sl], delta_star)
-    if not isinstance(controller, AdaptiveController):
-        return kinetic + wp
-    coeffs = np.array(controller.select_features(basis.coeffs))
-    for bus, mag in active.items():
-        coeffs[bus, -1] += mag
-    est = _est_err(traj.a_hat[sl], coeffs, controller.rates)
-    return kinetic + wp + est
-
-
-def _segment_dv(v: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order dV/dt on a segment: central inside, one-sided at the ends."""
-    if v.size < 3:
-        return np.full(v.shape, np.nan)
-    dv = np.empty_like(v)
-    dv[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
-    dv[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
-    dv[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dt)
-    return dv
+    bounds = [0, *dist.onset_indices(dt, n_steps), n_steps]
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        sl = slice(start, end + 1)
+        a_hat = coeffs = None
+        if isinstance(controller, AdaptiveController):
+            a_hat = traj.a_hat[sl]
+            coeffs = np.array(controller.select_features(scenario.basis.coeffs))
+            coeffs[:, -1] += dist.injection(net.n, start * dt, dt)
+        kinetic, wp, est = _energy(
+            net, controller, delta_star, traj.delta[sl], traj.omega[sl], a_hat, coeffs
+        )
+        v = kinetic + wp + est
+        dv = np.full(v.shape, np.nan)
+        if v.size >= 3:
+            dv[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
+            dv[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
+            dv[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dt)
+        yield start, v, dv + (net.D * traj.omega[sl] ** 2).sum(axis=-1)
 
 
 def check_decrease(
     traj: Trajectory,
     net: Network,
-    basis: BasisSignal,
+    scenario: Scenario,
     controller: Controller,
     delta_star: np.ndarray,
     *,
     tol_coeff: float,
 ) -> DecreaseReport:
-    """Assert dV/dt <= -sum_i D_i omega_i^2 along a noise-free trajectory.
+    """Assert dV/dt <= -sum_i D_i omega_i^2 along `traj`, rolled from `scenario`.
 
-    The margin at each record is the numerical dV/dt plus the damping
-    dissipation; a conforming controller keeps every margin below
-    tol_coeff * dt^2.  A violation beyond that signals a controller outside
-    the certified class (or a tolerance constant fitted at the wrong dt).
+    The scenario must be noise-free.  The margin at each record is the
+    numerical dV/dt plus the damping dissipation; a conforming controller
+    keeps every margin below tol_coeff * dt^2.  A violation beyond that
+    signals a controller outside the certified class (or a tolerance
+    constant fitted at the wrong dt).
     """
-    if traj.meta.get("noise_eps", 0.0):
-        raise ValueError("decrease check requires a noise-free trajectory")
-    worst = -np.inf
-    worst_time = 0.0
-    n_points = 0
-    segs = _segments(traj)
-    for start, end, active in segs:
-        v = _v_series(traj, net, basis, controller, delta_star, start, end, active)
-        dv = _segment_dv(v, traj.dt)
-        w0 = (net.D * traj.omega[start : end + 1] ** 2).sum(axis=-1)
-        margin = dv + w0
-        ok = ~np.isnan(margin)
-        n_points += int(ok.sum())
-        if ok.any():
-            k = int(np.nanargmax(margin))
-            if margin[k] > worst:
-                worst = float(margin[k])
-                worst_time = float(traj.t[start + k])
-    if n_points == 0:
+    segs = list(_segments(traj, net, scenario, controller, delta_star))
+    margin = np.concatenate([m for _, _, m in segs])
+    # segments share their boundary records, so a record can appear twice
+    records = np.concatenate([np.arange(s, s + m.size) for s, _, m in segs])
+    ok = ~np.isnan(margin)
+    if not ok.any():
         raise ValueError("trajectory too short for the decrease check")
+    k = int(np.nanargmax(margin))
+    worst = float(margin[k])
     tol = tol_coeff * traj.dt**2
     return DecreaseReport(
         worst_margin=worst,
-        worst_time=worst_time,
+        worst_time=float(traj.t[records[k]]),
         tol=float(tol),
         tol_coeff=float(tol_coeff),
         dt=traj.dt,
         passed=bool(worst <= tol),
-        n_points=n_points,
+        n_points=int(ok.sum()),
         n_segments=len(segs),
     )
 
 
 def fit_margin_constant(
-    trajectories: list[Trajectory],
+    trajectories: Sequence[Trajectory],
     net: Network,
-    bases: list[BasisSignal],
+    scenarios: Sequence[Scenario],
     controller: Controller,
     delta_star: np.ndarray,
     *,
@@ -367,35 +334,18 @@ def fit_margin_constant(
     Both difference stencils used by `check_decrease` have error bounded by
     (dt^2 / 3) |V'''|, so the constant is safety * max|V'''| / 3 with V'''
     estimated by third differences of the segment-folded energy series.
-    Calibrating on trajectories other than the ones under test keeps the
-    tolerance independent of the check it feeds.
+    Calibrating on rollouts of other scenarios than the ones under test
+    keeps the tolerance independent of the check it feeds.
     """
     v3 = 0.0
-    raw_worst: dict = {}
-    for idx, (traj, basis) in enumerate(zip(trajectories, bases)):
-        if traj.meta.get("noise_eps", 0.0):
-            raise ValueError("tolerance calibration requires noise-free trajectories")
-        dt = traj.dt
-        worst = -np.inf
-        for start, end, active in _segments(traj):
-            v = _v_series(traj, net, basis, controller, delta_star, start, end, active)
+    for traj, scen in zip(trajectories, scenarios, strict=True):
+        for _, v, _ in _segments(traj, net, scen, controller, delta_star):
             if v.size >= 5:
-                d3 = (v[4:] - 2 * v[3:-1] + 2 * v[1:-3] - v[:-4]) / (2 * dt**3)
+                d3 = (v[4:] - 2 * v[3:-1] + 2 * v[1:-3] - v[:-4]) / (2 * traj.dt**3)
                 v3 = max(v3, float(np.abs(d3).max()))
-            dv = _segment_dv(v, dt)
-            w0 = (net.D * traj.omega[start : end + 1] ** 2).sum(axis=-1)
-            m = dv + w0
-            if (~np.isnan(m)).any():
-                worst = max(worst, float(np.nanmax(m)))
-        raw_worst[idx] = worst
     if v3 == 0.0:
         raise CertificationError("calibration trajectories too short to fit a tolerance")
-    return MarginFit(
-        tol_coeff=float(safety * v3 / 3.0),
-        v3_max=float(v3),
-        safety=float(safety),
-        raw_worst=raw_worst,
-    )
+    return MarginFit(tol_coeff=float(safety * v3 / 3.0), v3_max=float(v3), safety=float(safety))
 
 
 def estimate_roa(

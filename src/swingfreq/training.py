@@ -371,16 +371,18 @@ def train(
     optimizer: AdamState | None = None,
     start_epoch: int = 0,
     divergence_factor: float = 1e4,
+    anchor_loss: float | None = None,
     callback: Callable[[int, float], None] | None = None,
 ) -> TrainReport:
     """Adam on the raw parameters over shuffled mini-batches.
 
     The shuffle for epoch e is keyed by (seed, e), so resuming from a
     checkpoint (same seed, `start_epoch` advanced, optimizer state restored)
-    reproduces an uninterrupted run exactly.  On divergence (non-finite
-    values, or the epoch loss exploding past divergence_factor times the
-    first epoch's) the loop stops and the report carries the last finished
-    epoch's parameters and optimizer state with `aborted` set.
+    reproduces an uninterrupted run exactly (pass the run's first epoch loss
+    as `anchor_loss`).  On divergence (non-finite values, or a later epoch's
+    loss above divergence_factor times that anchor) the loop stops and the
+    report carries the last finished epoch's parameters and optimizer state
+    with `aborted` set.
     """
     if epochs < 0 or batch_size < 1:
         raise ValueError("epochs must be >= 0 and batch_size >= 1")
@@ -390,7 +392,7 @@ def train(
     raw = controller.raw_parameters()
     adam = optimizer if optimizer is not None else AdamState.zeros(raw.size)
     losses: list[float] = []
-    first_loss = None
+    anchor = anchor_loss
     # Adam rebinds its arrays on update, so holding them is a snapshot
     good_raw, good_adam = raw.copy(), (adam.m, adam.v, adam.t)
     aborted = False
@@ -408,9 +410,8 @@ def train(
                 raw = adam.update(raw, grad, lr)
                 epoch_losses.append(loss)
             avg = float(np.mean(epoch_losses))
-            if first_loss is None:
-                first_loss = avg
-            if not np.isfinite(avg) or avg > divergence_factor * first_loss:
+            limit = np.inf if anchor is None else divergence_factor * anchor
+            if not np.isfinite(avg) or avg > limit:
                 aborted = True
         except IntegrationError:
             aborted = True
@@ -419,6 +420,8 @@ def train(
             adam.m, adam.v, adam.t = good_adam
             break
         losses.append(avg)
+        if anchor is None:
+            anchor = avg
         good_raw, good_adam = raw.copy(), (adam.m, adam.v, adam.t)
         if callback is not None:
             callback(epoch, avg)

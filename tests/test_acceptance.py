@@ -97,13 +97,11 @@ def test_energy_decreases_along_trained_trajectories(ne39, ne39_eq, trained, cap
         rollout(ne39, ctrl, s.basis, s.dist, horizon=6.0, dt=0.005)
         for s in calibration
     ]
-    fit = fit_margin_constant(
-        cal_trajs, ne39, [s.basis for s in calibration], ctrl, ne39_eq
-    )
+    fit = fit_margin_constant(cal_trajs, ne39, calibration, ctrl, ne39_eq)
     reports = [
         check_decrease(
             rollout(ne39, ctrl, s.basis, s.dist, horizon=6.0, dt=0.005),
-            ne39, s.basis, ctrl, ne39_eq, tol_coeff=fit.tol_coeff,
+            ne39, s, ctrl, ne39_eq, tol_coeff=fit.tol_coeff,
         )
         for s in battery
     ]

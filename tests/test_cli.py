@@ -57,6 +57,21 @@ class TestSimulate:
         assert rc == 2
         assert "/nowhere/missing.json" in capsys.readouterr().err
 
+    def test_malformed_checkpoint_exits_2_naming_file_and_key(self, tmp_path, capsys):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        del doc["optimizer"]["v"]
+        path.write_text(json.dumps(doc))
+        rc = main([
+            "simulate", "--case", "two_bus", "--checkpoint", str(path),
+            "--horizon", "1", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'v'" in err
+
     def test_saturation_caps_recorded_control(self, tmp_path):
         rc = main([
             "simulate", "--case", "two_bus", "--saturate", "0.05",
@@ -108,6 +123,21 @@ class TestTrain:
         ])
         assert rc == 2
         assert "config" in capsys.readouterr().err
+
+    def test_malformed_config_exits_2_naming_file_and_key(self, tmp_path, capsys):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        del doc["config"]["seed"]
+        path.write_text(json.dumps(doc))
+        rc = main([
+            "train", "--case", "two_bus", "--checkpoint", str(path),
+            "--epochs", "1", "--out", str(tmp_path / "resumed"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'seed'" in err
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         rc = main([
@@ -243,6 +273,16 @@ class TestCertify:
         doc = json.loads((tmp_path / "certificate.json").read_text())
         assert doc["pass"] is False
         assert doc["worst_margin"] > doc["tol"]
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main([
+                "certify", "--case", "two_bus", "--controller", "adaptive",
+                "--scenarios", "2", "--calibration", "2", "--samples", "20",
+                "--out", str(out),
+            ]) == 0
+        assert (a / "certificate.json").read_bytes() == (b / "certificate.json").read_bytes()
 
     def test_saturated_controller_is_refused(self, tmp_path, capsys):
         rc = main([

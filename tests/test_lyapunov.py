@@ -8,10 +8,12 @@ from swingfreq.controllers import (
 )
 from swingfreq.dynamics import (
     Disturbance,
+    Scenario,
     SystemState,
     make_constant_basis,
     make_sinusoid_basis,
     rollout,
+    rollout_batch,
 )
 from swingfreq.lyapunov import (
     CertificationError,
@@ -178,25 +180,28 @@ class TestGammaBounds:
 class TestDecrease:
     def test_equilibrium_trajectory_flat(self, two_bus, two_bus_eq):
         ctrl = DroopController.initial(2)
-        traj = rollout(two_bus, ctrl, make_constant_basis(2), horizon=2.0, dt=0.01)
-        rep = check_decrease(traj, two_bus, make_constant_basis(2), ctrl, two_bus_eq, tol_coeff=1.0)
+        scen = Scenario(Disturbance(), make_constant_basis(2))
+        traj = rollout(two_bus, ctrl, scen.basis, horizon=2.0, dt=0.01)
+        rep = check_decrease(traj, two_bus, scen, ctrl, two_bus_eq, tol_coeff=1.0)
         assert rep.passed
         assert abs(rep.worst_margin) <= 1e-9
 
     def test_adaptive_step_response_decreases(self, two_bus, two_bus_eq):
         ctrl = AdaptiveController.initial(DroopController.initial(2), 3)
         dist = Disturbance(steps=((0, 0.4, 2.0),))
-        cal_trajs, cal_bases = [], []
+        cal_trajs, cal_scens = [], []
         for seed in (100, 101, 102):
             b = make_sinusoid_basis(2, seed)
             cal_trajs.append(rollout(two_bus, ctrl, b, dist, horizon=6.0, dt=0.01))
-            cal_bases.append(b)
-        fit = fit_margin_constant(cal_trajs, two_bus, cal_bases, ctrl, two_bus_eq)
+            cal_scens.append(Scenario(dist, b))
+        fit = fit_margin_constant(cal_trajs, two_bus, cal_scens, ctrl, two_bus_eq)
         assert fit.tol_coeff > 0
 
         basis = make_sinusoid_basis(2, 200)
         traj = rollout(two_bus, ctrl, basis, dist, horizon=6.0, dt=0.01)
-        rep = check_decrease(traj, two_bus, basis, ctrl, two_bus_eq, tol_coeff=fit.tol_coeff)
+        rep = check_decrease(
+            traj, two_bus, Scenario(dist, basis), ctrl, two_bus_eq, tol_coeff=fit.tol_coeff
+        )
         assert rep.passed
         assert rep.n_segments == 2
         assert rep.worst_margin <= rep.tol
@@ -206,7 +211,9 @@ class TestDecrease:
         dist = Disturbance(steps=((0, 0.3, 1.0),))
         basis = make_constant_basis(2)
         traj = rollout(two_bus, ctrl, basis, dist, horizon=4.0, dt=0.01)
-        rep = check_decrease(traj, two_bus, basis, ctrl, two_bus_eq, tol_coeff=10.0)
+        rep = check_decrease(
+            traj, two_bus, Scenario(dist, basis), ctrl, two_bus_eq, tol_coeff=10.0
+        )
         assert not rep.passed
         assert rep.worst_margin > rep.tol
         assert rep.worst_time >= 1.0
@@ -214,24 +221,55 @@ class TestDecrease:
     def test_noise_rejected(self, two_bus, two_bus_eq):
         ctrl = DroopController.initial(2)
         dist = Disturbance(noise_eps=0.01, seed=5)
-        traj = rollout(two_bus, ctrl, make_constant_basis(2), dist, horizon=1.0, dt=0.01)
+        scen = Scenario(dist, make_constant_basis(2))
+        traj = rollout(two_bus, ctrl, scen.basis, dist, horizon=1.0, dt=0.01)
         with pytest.raises(ValueError, match="noise"):
-            check_decrease(traj, two_bus, make_constant_basis(2), ctrl, two_bus_eq, tol_coeff=1.0)
+            check_decrease(traj, two_bus, scen, ctrl, two_bus_eq, tol_coeff=1.0)
 
     def test_calibration_needs_enough_records(self, two_bus, two_bus_eq):
         ctrl = DroopController.initial(2)
-        traj = rollout(two_bus, ctrl, make_constant_basis(2), horizon=0.03, dt=0.01)
+        scen = Scenario(Disturbance(), make_constant_basis(2))
+        traj = rollout(two_bus, ctrl, scen.basis, horizon=0.03, dt=0.01)
         with pytest.raises(CertificationError, match="too short"):
-            fit_margin_constant([traj], two_bus, [make_constant_basis(2)], ctrl, two_bus_eq)
+            fit_margin_constant([traj], two_bus, [scen], ctrl, two_bus_eq)
 
     def test_safety_scales_tolerance(self, two_bus, two_bus_eq):
         ctrl = DroopController.initial(2)
         dist = Disturbance(steps=((0, 0.3, 0.0),))
         basis = make_sinusoid_basis(2, 31)
         traj = rollout(two_bus, ctrl, basis, dist, horizon=3.0, dt=0.01)
-        f1 = fit_margin_constant([traj], two_bus, [basis], ctrl, two_bus_eq, safety=2.0)
-        f2 = fit_margin_constant([traj], two_bus, [basis], ctrl, two_bus_eq, safety=4.0)
+        scen = Scenario(dist, basis)
+        f1 = fit_margin_constant([traj], two_bus, [scen], ctrl, two_bus_eq, safety=2.0)
+        f2 = fit_margin_constant([traj], two_bus, [scen], ctrl, two_bus_eq, safety=4.0)
         assert f2.tol_coeff == pytest.approx(2.0 * f1.tol_coeff, rel=1e-12)
+
+    def test_batch_row_gets_the_rollout_verdict(self, two_bus, two_bus_eq):
+        # the step schedule comes from the scenario, so a rollout_batch row,
+        # which carries no metadata, is split at the same onset
+        ctrl = AdaptiveController.initial(DroopController.initial(2), 3)
+        scen = Scenario(Disturbance(steps=((0, 0.4, 2.0),)), make_sinusoid_basis(2, 200))
+        lone = rollout(two_bus, ctrl, scen.basis, scen.dist, horizon=6.0, dt=0.01)
+        row = rollout_batch(
+            two_bus, ctrl, [scen], horizon=6.0, dt=0.01,
+            record=("delta", "omega", "a_hat"),
+        )[0]
+        reports = [
+            check_decrease(traj, two_bus, scen, ctrl, two_bus_eq, tol_coeff=1.0)
+            for traj in (lone, row)
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0].passed and reports[0].n_segments == 2
+
+    def test_noisy_batch_row_rejected(self, two_bus, two_bus_eq):
+        ctrl = DroopController.initial(2)
+        scen = Scenario(Disturbance(noise_eps=0.01, seed=5), make_constant_basis(2))
+        row = rollout_batch(
+            two_bus, ctrl, [scen], horizon=1.0, dt=0.01, record=("delta", "omega")
+        )[0]
+        with pytest.raises(ValueError, match="noise"):
+            check_decrease(row, two_bus, scen, ctrl, two_bus_eq, tol_coeff=1.0)
+        with pytest.raises(ValueError, match="noise"):
+            fit_margin_constant([row], two_bus, [scen], ctrl, two_bus_eq)
 
 
 class TestRoa:
@@ -285,8 +323,9 @@ def test_certificate_report_passes_through(two_bus, two_bus_eq):
     ctrl = DroopController.initial(2)
     gb = compute_gammas(two_bus, margin=0.01, samples=50)
     roa = estimate_roa(two_bus, gb, two_bus_eq)
-    traj = rollout(two_bus, ctrl, make_constant_basis(2), horizon=2.0, dt=0.01)
-    rep = check_decrease(traj, two_bus, make_constant_basis(2), ctrl, two_bus_eq, tol_coeff=1.0)
+    scen = Scenario(Disturbance(), make_constant_basis(2))
+    traj = rollout(two_bus, ctrl, scen.basis, horizon=2.0, dt=0.01)
+    rep = check_decrease(traj, two_bus, scen, ctrl, two_bus_eq, tol_coeff=1.0)
     doc = certificate_report(gb, rep, roa)
     assert doc["pass"] is True
     assert doc["gamma1"] == gb.gamma1

@@ -287,6 +287,26 @@ class TestTrain:
             tail.controller.raw_parameters(), full.controller.raw_parameters()
         )
 
+    def test_resume_keeps_divergence_anchor(self, two_bus):
+        # a factor just below 1 passes only losses under the run's first, so
+        # a resumed call must compare against that loss, not its own first
+        cost = make_cost_spec(two_bus, 1)
+        scens = make_scenarios(two_bus, 6, 4)
+        ctrl = DroopController.initial(2)
+        kw = dict(batch_size=3, seed=9, lr=1e-2, divergence_factor=0.999)
+        full = train(two_bus, ctrl, scens, cost, epochs=2, **kw)
+        head = train(two_bus, ctrl, scens, cost, epochs=1, **kw)
+        tail = train(
+            two_bus, head.controller, scens, cost, epochs=1, **kw,
+            optimizer=head.optimizer, start_epoch=1, anchor_loss=head.losses[0],
+        )
+        assert not full.aborted and not tail.aborted
+        assert full.losses[1] < full.losses[0]
+        assert head.losses + tail.losses == full.losses
+        np.testing.assert_array_equal(
+            tail.controller.raw_parameters(), full.controller.raw_parameters()
+        )
+
     def test_constraints_preserved_each_epoch(self, two_bus):
         cost = make_cost_spec(two_bus, 1)
         scens = make_scenarios(two_bus, 6, 4)
