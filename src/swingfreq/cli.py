@@ -125,13 +125,23 @@ def _load_checkpoint(path: str | Path):
         raise ControllerError(f"malformed checkpoint {p}: {exc}") from None
     if not isinstance(doc, dict):
         raise ControllerError(f"malformed checkpoint {p}: expected a JSON object")
+    try:
+        ctrl = controller_from_dict(doc.get("controller", doc))
+    except ControllerError as exc:
+        raise ControllerError(f"malformed checkpoint {p}: {exc}") from None
     if "controller" not in doc:
-        return controller_from_dict(doc), None, None, []
-    ctrl = controller_from_dict(doc["controller"])
+        return ctrl, None, None, []
     try:
         adam = AdamState.from_dict(doc["optimizer"]) if "optimizer" in doc else None
     except KeyError as exc:
         raise _missing_key(p, "optimizer", exc) from None
+    n_raw = ctrl.raw_parameters().size
+    for key, moment in (("m", adam.m), ("v", adam.v)) if adam is not None else ():
+        if moment.shape != (n_raw,):
+            raise ControllerError(
+                f"malformed checkpoint {p}: optimizer key '{key}' has {moment.size} "
+                f"entries, the controller {n_raw} raw parameters"
+            )
     return ctrl, adam, doc.get("config"), list(doc.get("losses", []))
 
 
@@ -213,7 +223,9 @@ def cmd_simulate(args) -> int:
     traj.write_meta(out / "trajectory.json")
     print(f"case {args.case}: {net.n} buses, controller {label}, {method}")
     print(f"wrote {out / 'trajectory.csv'} ({traj.n_records} records)")
-    tail = traj.tail(EVAL_ONSET) if dist is not None and dist.steps else traj
+    # a run that ends before its steps switch on is summarised whole
+    stepped = dist is not None and dist.onset_indices(args.dt, traj.n_records - 1)
+    tail = traj.tail(EVAL_ONSET) if stepped else traj
     print(f"nadir         {np.abs(tail.omega).max():.6g} rad/s")
     print(f"final |omega| {np.abs(tail.omega[-1]).max():.6g} rad/s")
     cost = make_cost_spec(net, args.seed)
@@ -318,7 +330,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_thread_cap()
     net = _resolve_case(args)
     if args.horizon < EVAL_ONSET + RESTORE_WINDOW[1]:
         raise ValueError(
@@ -522,6 +533,26 @@ def cmd_certify(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: parse with `kind`, reject values failing `ok`."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+POSITIVE = _checked(float, lambda x: 0 < x < np.inf, "a finite positive number")
+NONNEGATIVE = _checked(float, lambda x: 0 <= x < np.inf, "a finite nonnegative number")
+COUNT = _checked(int, lambda x: x > 0, "a positive integer")
+NONNEG_COUNT = _checked(int, lambda x: x >= 0, "a nonnegative integer")
+MARGIN = _checked(float, lambda x: 0 < x < np.pi / 2, "strictly between 0 and pi/2")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swingfreq",
@@ -556,9 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="roll one disturbance scenario and write the trajectory",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--horizon", type=float, default=15.0, help="simulated seconds")
-    p.add_argument("--noise", type=float, default=0.0, metavar="EPS",
+    p.add_argument("--dt", type=POSITIVE, default=0.01)
+    p.add_argument("--horizon", type=POSITIVE, default=15.0, help="simulated seconds")
+    p.add_argument("--noise", type=NONNEGATIVE, default=0.0, metavar="EPS",
                    help="uniform injection noise amplitude")
     p.add_argument("--no-disturbance", action="store_true",
                    help="zero the injection variation (equilibrium run)")
@@ -577,16 +608,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="fresh controller type (droop, pwl, integral, adaptive) or a JSON path",
     )
     p.add_argument("--checkpoint", help="resume training from this checkpoint")
-    p.add_argument("--scenarios", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--scenarios", type=COUNT, default=50)
+    p.add_argument("--epochs", type=NONNEG_COUNT, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=25)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--noise", type=float, default=0.0, metavar="EPS")
+    p.add_argument("--batch-size", type=COUNT, default=25)
+    p.add_argument("--dt", type=POSITIVE, default=0.01)
+    p.add_argument("--noise", type=NONNEGATIVE, default=0.0, metavar="EPS")
     p.add_argument("--smooth-max", action="store_true",
                    help="log-sum-exp softening of the peak-deviation term")
-    p.add_argument("--log-every", type=int, default=10)
+    p.add_argument("--log-every", type=COUNT, default=10)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_train)
 
@@ -598,12 +629,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint to evaluate (repeatable)")
     p.add_argument("--controller", action="append",
                    help="fresh controller type or JSON path to evaluate (repeatable)")
-    p.add_argument("--scenarios", type=int, default=20)
+    p.add_argument("--scenarios", type=COUNT, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--horizon", type=float, default=17.0,
+    p.add_argument("--dt", type=POSITIVE, default=0.01)
+    p.add_argument("--horizon", type=POSITIVE, default=17.0,
                    help="simulated seconds (needs onset + 15)")
-    p.add_argument("--noise", type=float, default=0.0, metavar="EPS")
+    p.add_argument("--noise", type=NONNEGATIVE, default=0.0, metavar="EPS")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--euler", action="store_true")
     g.add_argument("--rk4", action="store_true")
@@ -614,15 +645,15 @@ def build_parser() -> argparse.ArgumentParser:
         "certify", parents=[case, single],
         help="check the energy certificate along sampled trajectories",
     )
-    p.add_argument("--scenarios", type=int, default=20)
-    p.add_argument("--calibration", type=int, default=5,
+    p.add_argument("--scenarios", type=COUNT, default=20)
+    p.add_argument("--calibration", type=COUNT, default=5,
                    help="extra scenarios used only to fit the tolerance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=0.005)
-    p.add_argument("--horizon", type=float, default=6.0)
-    p.add_argument("--margin", type=float, default=0.01,
+    p.add_argument("--dt", type=POSITIVE, default=0.005)
+    p.add_argument("--horizon", type=POSITIVE, default=6.0)
+    p.add_argument("--margin", type=MARGIN, default=0.01,
                    help="angle margin to pi/2 defining the certified region")
-    p.add_argument("--samples", type=int, default=2000,
+    p.add_argument("--samples", type=COUNT, default=2000,
                    help="region samples for the cross-check bounds")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_certify)
@@ -632,6 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_thread_cap()
         return args.func(args)
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)

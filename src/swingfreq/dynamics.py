@@ -19,11 +19,13 @@ grid.
 Angles are re-projected to the COI gauge (zero mean) after every step.
 
 There is one integrator, `_integrate`: it advances a `ScenarioStack` (the one
-path from scenarios to stacked arrays) with state shape (B, n), evaluating
-features, injections and the controller for every scenario in one call per
-stage, and returns time-major histories.  `rollout_batch` wraps it for
-scenario batteries, `rollout` and `step` are the batch-of-one cases, and
-training calls it directly for its Euler forward pass.
+path from scenarios to stacked arrays: a stacked `BasisSignal` and one
+stream of per-step injections) with state shape (B, n), evaluating features,
+injections and the controller for every scenario in one call per stage, and
+returns time-major histories.  `rollout_batch` wraps it for scenario
+batteries, `rollout` is the batch-of-one case, `step` advances a lone state
+through the same stage code, and training calls `_integrate` directly for
+its Euler forward pass.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ class BasisSignal:
     trailing column always belonging to the constant-1 feature.  The feature
     index k advances by 1 per `dt_ref` of simulated time regardless of the
     integration step, and is evaluated at fractional k for sub-stage times.
+    A battery's bases stack into one signal, `eta` (B, n, m), `coeffs` (B, n, m+1).
     """
 
     eta: np.ndarray
@@ -103,9 +106,9 @@ class BasisSignal:
     def __post_init__(self) -> None:
         eta = np.ascontiguousarray(self.eta, dtype=float)
         coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
-        if eta.ndim != 2 or coeffs.ndim != 2:
-            raise ValueError("eta and coeffs must be 2-d")
-        if coeffs.shape != (eta.shape[0], eta.shape[1] + 1):
+        if eta.ndim not in (2, 3) or coeffs.ndim != eta.ndim:
+            raise ValueError("eta and coeffs must both be 2-d, or both 3-d when stacked")
+        if coeffs.shape != eta.shape[:-1] + (eta.shape[-1] + 1,):
             raise ValueError("coeffs must have one more column than eta (constant term)")
         if not np.all(np.isfinite(eta)) or not np.all(np.isfinite(coeffs)):
             raise ValueError("non-finite basis parameters")
@@ -118,23 +121,23 @@ class BasisSignal:
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
     @property
     def n_features(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     def features(self, t: float | np.ndarray) -> np.ndarray:
-        """Evaluate phi at time(s) t; shape (..., n, n_features)."""
+        """Evaluate phi at time(s) t; shape t.shape + coeffs.shape."""
         k = np.asarray(t, dtype=float) / self.dt_ref
-        out = np.empty(k.shape + (self.n, self.n_features))
+        out = np.empty(k.shape + self.coeffs.shape)
         out[..., -1] = 1.0
-        if self.eta.shape[1]:
-            np.sin(k[..., None, None] * self.eta, out=out[..., :-1])
+        if self.eta.shape[-1]:
+            np.sin(k[(...,) + (None,) * self.eta.ndim] * self.eta, out=out[..., :-1])
         return out
 
     def injection_variation(self, t: float | np.ndarray) -> np.ndarray:
-        """phi_i(t) . a_i for each bus; shape (..., n)."""
+        """phi_i(t) . a_i for each bus; shape t.shape + coeffs.shape[:-1]."""
         return (self.features(t) * self.coeffs).sum(axis=-1)
 
 
@@ -228,9 +231,10 @@ NOISE_BLOCK = 64  # steps of injection noise drawn per generator call
 class ScenarioStack:
     """A scenario battery as stacked arrays, one row per scenario in order.
 
-    Basis parameters (B, n, l), step injections by step index, initial states
-    (B, n) and (B, n, l_ctrl), and per-step noise drawn exactly as a lone
-    rollout of each scenario draws it.  Nothing here is horizon-long.
+    `basis` stacks the scenarios' bases, (B, n, l); `injections()` streams
+    each step's step-plus-noise injection, (B, n), with the noise drawn as a
+    lone rollout of each scenario draws it; `delta0`, `omega0` (B, n) and
+    `a0` (B, n, l_ctrl) are the initial states.  Nothing here is horizon-long.
     """
 
     def __init__(
@@ -252,17 +256,19 @@ class ScenarioStack:
             if s.basis.n_features != first.n_features or s.basis.dt_ref != first.dt_ref:
                 raise ValueError("scenarios in a batch must share the basis layout")
         n = net.n
-        self.B, self.n, self.dt, self.dt_ref = B, n, dt, first.dt_ref
-        self.n_steps = n_steps
-        self.eta = np.stack([s.basis.eta for s in scenarios])
-        self.coeffs = np.stack([s.basis.coeffs for s in scenarios])
-        # step injections: the rows at k = 0, then a scenario's whole row again
-        # at each step index where one of its steps switches on
-        self.steps0 = np.stack([s.dist.injection(n, 0.0, dt) for s in scenarios])
-        self.events: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for b, s in enumerate(scenarios):
-            for k in s.dist.onset_indices(dt, n_steps):
-                self.events.setdefault(k, []).append((b, s.dist.injection(n, k * dt, dt)))
+        self.B, self.n, self.dt, self.n_steps = B, n, dt, n_steps
+        self.basis = BasisSignal(
+            np.stack([s.basis.eta for s in scenarios]),
+            np.stack([s.basis.coeffs for s in scenarios]),
+            first.dt_ref,
+        )
+        # every scenario's step injections at k = 0 and at each step index
+        # where a step of any of them switches on; held in between
+        onsets = {k for s in scenarios for k in s.dist.onset_indices(dt, n_steps)}
+        self._steps = {
+            k: np.stack([s.dist.injection(n, k * dt, dt) for s in scenarios])
+            for k in sorted({0} | onsets)
+        }
         self._noisy = [
             (b, s.dist.seed, s.dist.noise_eps)
             for b, s in enumerate(scenarios)
@@ -279,39 +285,26 @@ class ScenarioStack:
                     raise ValueError("initial estimates do not fit the controller")
                 self.a0[b] = s.x0.a_hat
 
-    def features(self, t: float) -> np.ndarray:
-        """Every scenario's basis features at time t; shape (B, n, l)."""
-        out = np.empty(self.coeffs.shape)
-        out[..., -1] = 1.0
-        if self.eta.shape[-1]:
-            np.sin(t / self.dt_ref * self.eta, out=out[..., :-1])
-        return out
-
-    def step_injection(self, k: int, current: np.ndarray) -> np.ndarray:
-        """Step injections of step k, given those of step k - 1 (`steps0` at k = 0)."""
-        changed = self.events.get(k)
-        if changed:
-            current = current.copy()
-            for b, row in changed:
-                current[b] = row
-        return current
-
-    def noise(self) -> Iterator[np.ndarray | None]:
-        """Injection noise of steps 0, 1, ..., each (B, n), or None if no
-        scenario is noisy; every call restarts the streams from the seeds."""
+    def injections(self) -> Iterator[np.ndarray]:
+        """Step plus noise injection of steps 0, 1, ..., each (B, n) and held
+        across its step; every call restarts the noise streams from the seeds."""
         gens = [(b, np.random.default_rng(seed), eps) for b, seed, eps in self._noisy]
+        steps, k = self._steps[0], 0
         while True:
-            block = np.zeros((NOISE_BLOCK, self.B, self.n)) if gens else [None] * NOISE_BLOCK
+            block = np.zeros((NOISE_BLOCK, self.B, self.n)) if gens else None
             for b, gen, eps in gens:
                 # one block draw is the same stream as NOISE_BLOCK per-step draws
                 block[:, b] = gen.uniform(-eps, eps, (NOISE_BLOCK, self.n))
-            yield from block
+            for j in range(NOISE_BLOCK):
+                steps = self._steps.get(k, steps)
+                yield steps if block is None else steps + block[j]
+                k += 1
 
 
-def _forcing(net: Network, controller: Controller, basis, t: float, p_extra):
+def _forcing(net: Network, controller: Controller, basis: BasisSignal, t: float, p_extra):
     """Net injection and the controller's feature view at time t.
 
-    `basis` is a BasisSignal for unbatched states or a ScenarioStack.
+    `basis` is one scenario's signal, or a battery's stacked signal.
     """
     phi = basis.features(t)
     p = net.p_star + (phi * basis.coeffs).sum(axis=-1) + p_extra
@@ -475,21 +468,16 @@ def _integrate(
         for name in record
     }
     d, w, a = stack.delta0, stack.omega0, stack.a0
-    p_steps = stack.steps0
-    noise = stack.noise()
-    for k in range(n_steps + 1):
+    for k, p_extra in zip(range(n_steps + 1), stack.injections()):
         t = k * dt
-        p_steps = stack.step_injection(k, p_steps)
-        nz = next(noise)
-        p_extra = p_steps if nz is None else p_steps + nz
-        p, view = _forcing(net, controller, stack, t, p_extra)
+        p, view = _forcing(net, controller, stack.basis, t, p_extra)
         k1 = _derivs(net, controller, d, w, a, p, view)
         now = {"delta": d, "omega": w, "u": k1[3], "p": p, "a_hat": a}
         for name, arr in hist.items():
             arr[k] = now[name]
         if k == n_steps:
             break
-        d, w, a = _advance(net, controller, stack, d, w, a, t, dt, p_extra, method, k1)
+        d, w, a = _advance(net, controller, stack.basis, d, w, a, t, dt, p_extra, method, k1)
         _check_finite(d, w, a, k + 1, t + dt)
     return hist
 

@@ -63,9 +63,10 @@ class Network:
     """Immutable lossless network.
 
     `edges` stores 0-based index pairs (i, j) with i < j; `b_edge` the
-    per-edge susceptances.  Dense `B` and the signed incidence matrix are
-    derived at construction and marked read-only, so instances are safe to
-    share across threads.
+    per-edge susceptances.  Dense `B` and the signed incidence matrix (+1 at
+    i, -1 at j per edge row; edge differences and per-bus sums are products
+    with it) are derived at construction and marked read-only, so instances
+    are safe to share across threads.
     """
 
     name: str
@@ -77,8 +78,6 @@ class Network:
     b_edge: np.ndarray
     B: np.ndarray = field(init=False, repr=False)
     incidence: np.ndarray = field(init=False, repr=False)
-    _ei: np.ndarray = field(init=False, repr=False)
-    _ej: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.bus_ids)
@@ -94,10 +93,7 @@ class Network:
             inc[e, j] = -1.0
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "incidence", inc)
-        idx = np.asarray(self.edges, dtype=int).reshape(-1, 2)
-        object.__setattr__(self, "_ei", np.ascontiguousarray(idx[:, 0]))
-        object.__setattr__(self, "_ej", np.ascontiguousarray(idx[:, 1]))
-        for arr in (self.M, self.D, self.p_star, self.b_edge, B, inc, self._ei, self._ej):
+        for arr in (self.M, self.D, self.p_star, self.b_edge, B, inc):
             arr.flags.writeable = False
 
     @property
@@ -109,13 +105,8 @@ class Network:
         return len(self.edges)
 
     def edge_differences(self, delta: np.ndarray) -> np.ndarray:
-        """Per-edge angle differences delta_i - delta_j, batched over leading axes."""
-        ei, ej = self._edge_index()
-        delta = np.asarray(delta, dtype=float)
-        return delta[..., ei] - delta[..., ej]
-
-    def _edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._ei, self._ej
+        """Per-edge delta_i - delta_j, batched; bit for bit the plain subtraction."""
+        return np.asarray(delta, dtype=float) @ self.incidence.T
 
 
 def _validate(net: Network) -> None:
@@ -259,7 +250,7 @@ def hessian_S(net: Network, delta: np.ndarray) -> np.ndarray:
     if delta.ndim != 1:
         raise ValueError("hessian_S expects a single angle vector")
     w = net.b_edge * np.cos(net.edge_differences(delta))
-    ei, ej = net._edge_index()
+    ei, ej = np.asarray(net.edges, dtype=int).reshape(-1, 2).T
     H = np.zeros((net.n, net.n))
     np.add.at(H, (ei, ei), w)
     np.add.at(H, (ej, ej), w)
@@ -271,9 +262,7 @@ def hessian_S(net: Network, delta: np.ndarray) -> np.ndarray:
 def hess_S_vecprod(net: Network, delta: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Hessian-vector product without forming the matrix; batched."""
     w = net.b_edge * np.cos(net.edge_differences(delta))
-    ei, ej = net._edge_index()
-    v = np.asarray(v, dtype=float)
-    return (w * (v[..., ei] - v[..., ej])) @ net.incidence
+    return (w * net.edge_differences(v)) @ net.incidence
 
 
 def solve_equilibrium(

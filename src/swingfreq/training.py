@@ -246,7 +246,7 @@ def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, seed_w, s
         )
         grad += controller.control_vjp_raw(omega, bar_u)
         if adaptive:
-            view = controller.select_features(stack.features(k * dt))
+            view = controller.select_features(stack.basis.features(k * dt))
             g_a, bar_w = controller.adaptation_vjp(omega, view, dt * lam_a)
             grad += g_a
             new_lam_w += bar_w

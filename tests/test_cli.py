@@ -72,6 +72,31 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert str(path) in err and "'v'" in err
 
+    def test_controller_document_error_names_the_checkpoint(self, tmp_path, capsys):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        del doc["controller"]["raw_gain"]
+        path.write_text(json.dumps(doc))
+        rc = main([
+            "simulate", "--case", "two_bus", "--checkpoint", str(path),
+            "--horizon", "1", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'raw_gain'" in err
+
+    def test_horizon_before_onset_summarises_whole_run(self, tmp_path, capsys):
+        rc = main([
+            "simulate", "--case", "two_bus", "--horizon", "1", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        header, data = read_csv(tmp_path / "trajectory.csv")
+        w_cols = [i for i, h in enumerate(header) if h.startswith("omega_")]
+        nadir = float(re.search(r"nadir\s+(\S+) rad/s", capsys.readouterr().out).group(1))
+        assert nadir == pytest.approx(np.abs(data[:, w_cols]).max(), rel=1e-5)
+
     def test_saturation_caps_recorded_control(self, tmp_path):
         rc = main([
             "simulate", "--case", "two_bus", "--saturate", "0.05",
@@ -138,6 +163,23 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(path) in err and "'seed'" in err
+
+    def test_resume_checks_optimizer_size(self, tmp_path, capsys):
+        # two_bus droop has 2 raw parameters; a 1-entry moment would broadcast
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["optimizer"]["m"] = [1.0]
+        path.write_text(json.dumps(doc))
+        rc = main([
+            "train", "--case", "two_bus", "--checkpoint", str(path),
+            "--epochs", "1", "--out", str(tmp_path / "resumed"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'m'" in err
+        assert not (tmp_path / "resumed" / "checkpoint.json").exists()
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         rc = main([
@@ -292,3 +334,36 @@ class TestCertify:
         assert rc == 4
         assert "refused" in capsys.readouterr().err
         assert not (tmp_path / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--case", "two_bus", "--horizon", "1"],
+    ["certify", "--case", "two_bus", "--scenarios", "1", "--calibration", "1",
+     "--samples", "10"],
+])
+def test_every_command_checks_thread_cap(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SWINGFREQ_THREADS", "abc")
+    assert main(command + ["--out", str(tmp_path)]) == 2
+    assert "SWINGFREQ_THREADS" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--dt", "0"),
+    ("simulate", "--dt", "-0.01"),
+    ("simulate", "--horizon", "0"),
+    ("simulate", "--noise", "-0.1"),
+    ("train", "--log-every", "0"),
+    ("train", "--batch-size", "0"),
+    ("train", "--epochs", "-1"),
+    ("evaluate", "--scenarios", "0"),
+    ("certify", "--samples", "0"),
+    ("certify", "--scenarios", "0"),
+    ("certify", "--calibration", "0"),
+    ("certify", "--margin", "2"),
+])
+def test_bad_numeric_flag_exits_2_naming_it(command, flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--case", "two_bus", flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err

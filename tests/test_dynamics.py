@@ -15,6 +15,7 @@ from swingfreq.dynamics import (
     Disturbance,
     IntegrationError,
     Scenario,
+    ScenarioStack,
     SystemState,
     equilibrium_state,
     make_constant_basis,
@@ -72,9 +73,26 @@ class TestBasisSignal:
         assert basis.n_features == 1
         np.testing.assert_allclose(basis.injection_variation(7.7), [0.1, 0.2, 0.3])
 
+    def test_stacked_rows_match_each_basis(self):
+        bases = [make_sinusoid_basis(4, seed) for seed in (1, 2, 3)]
+        stacked = BasisSignal(
+            np.stack([b.eta for b in bases]), np.stack([b.coeffs for b in bases])
+        )
+        assert (stacked.n, stacked.n_features) == (4, 3)
+        times = np.array([0.0, 0.37, 0.005, 12.0])
+        for t in (*times, times):
+            got, var = stacked.features(t), stacked.injection_variation(t)
+            for b, basis in enumerate(bases):
+                np.testing.assert_array_equal(got[..., b, :, :], basis.features(t))
+                np.testing.assert_array_equal(var[..., b, :], basis.injection_variation(t))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="one more column"):
             BasisSignal(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="one more column"):
+            BasisSignal(np.zeros((3, 2, 2)), np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="2-d"):
+            BasisSignal(np.zeros((3, 2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="non-finite"):
             BasisSignal(np.zeros((1, 0)), np.array([[np.nan]]))
 
@@ -274,6 +292,22 @@ class TestRolloutBatch:
                 state = step(ne39, state, ctrl, s.basis, s.dist, t=k * 0.01, rng=rng)
             np.testing.assert_allclose(traj.omega[-1], state.omega, rtol=0, atol=1e-12)
             np.testing.assert_allclose(traj.a_hat[-1], state.a_hat, rtol=0, atol=1e-12)
+
+    def test_injection_stream_matches_lone_draws(self, ne39, ne39_eq):
+        # each row is the scenario's own step injection plus its own noise
+        # stream, drawn per step; longer than one noise block
+        scens = self.battery(ne39, ne39_eq)
+        dt, n_steps = 0.01, 150
+        stack = ScenarioStack(ne39, scens, dt, n_steps, 3, ne39_eq)
+        for _ in range(2):  # every call restarts the streams
+            rngs = [np.random.default_rng(s.dist.seed) for s in scens]
+            for k, got in zip(range(n_steps + 1), stack.injections()):
+                for b, s in enumerate(scens):
+                    want = s.dist.injection(ne39.n, k * dt, dt)
+                    if s.dist.noise_eps:
+                        eps = s.dist.noise_eps
+                        want = want + rngs[b].uniform(-eps, eps, ne39.n)
+                    np.testing.assert_array_equal(got[b], want)
 
     def test_rows_match_lone_rollouts(self, ne39, ne39_eq):
         # batch rows may differ from a lone rollout only by the rounding of

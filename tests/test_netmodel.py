@@ -177,6 +177,15 @@ class TestPotential:
             w = np.linalg.eigvalsh(hessian_S(ne39, delta) + np.ones((39, 39)) / 39)
             assert w.min() > 0
 
+    def test_edge_differences_equal_the_gather(self, ne39):
+        i, j = np.array(ne39.edges).T
+        rng = np.random.default_rng(4)
+        for shape in ((39,), (1, 39), (5, 121, 39)):
+            delta = rng.uniform(-2, 2, shape)
+            np.testing.assert_array_equal(
+                ne39.edge_differences(delta), delta[..., i] - delta[..., j]
+            )
+
     def test_hessian_vecprod_matches_dense(self, ne39):
         rng = np.random.default_rng(13)
         delta = rng.uniform(-0.2, 0.2, 39)
