@@ -265,6 +265,12 @@ def cmd_train(args) -> int:
             start = cfg["epochs_done"]
         except KeyError as exc:
             raise _missing_key(args.checkpoint, "config", exc) from None
+        for key, value in (("lr", lr), ("dt", dt)):
+            if not (isinstance(value, (int, float)) and _finite_positive(value)):
+                raise ControllerError(
+                    f"malformed checkpoint {args.checkpoint}: config key '{key}' must "
+                    f"be a finite positive number, got {value!r}"
+                )
         noise = cfg.get("noise", 0.0)
         ctype = cfg.get("controller_type", type(ctrl).__name__)
     else:
@@ -468,6 +474,20 @@ def _certify_battery(
     return tuple(out)
 
 
+def _region_exit(net: Network, traj, bound: float) -> str | None:
+    """Where `traj` first has a line angle |delta_i - delta_j| above `bound`."""
+    spread = np.abs(net.edge_differences(traj.delta))  # (K+1, E), dropped on return
+    out = np.flatnonzero(spread.max(axis=-1) > bound)
+    if not out.size:
+        return None
+    k, e = out[0], int(spread[out[0]].argmax())
+    i, j = net.edges[e]
+    return (
+        f"t={traj.t[k]:.3f} s: line {net.bus_ids[i]}-{net.bus_ids[j]} angle "
+        f"{spread[k, e]:.3f} rad exceeds pi/2 - margin = {bound:.3f} rad"
+    )
+
+
 def cmd_certify(args) -> int:
     net = _resolve_case(args)
     ctrl, label = _resolve_controller(args, net)
@@ -482,19 +502,25 @@ def cmd_certify(args) -> int:
     batt_ss, cal_ss = np.random.SeedSequence(args.seed).spawn(2)
     battery = _certify_battery(net, ctrl, args.scenarios, batt_ss, delta_star)
     calibration = _certify_battery(net, ctrl, args.calibration, cal_ss, delta_star)
+    bound = np.pi / 2 - args.margin
+    exits = []
 
     # one scenario per batch: a battery's histories would dominate memory
-    def roll(scen: Scenario):
-        return rollout_batch(
+    def roll(name: str, scen: Scenario):
+        traj = rollout_batch(
             net, ctrl, [scen], horizon=args.horizon, dt=args.dt,
             delta_star=delta_star, record=("delta", "omega", "a_hat"),
         )[0]
+        where = _region_exit(net, traj, bound)
+        if where is not None:
+            exits.append(f"{name} left the operating region at {where}")
+        return traj
 
-    cal_trajs = [roll(s) for s in calibration]
-    fit = fit_margin_constant(cal_trajs, net, calibration, ctrl, delta_star)
+    cal_trajs = [roll(f"calibration trajectory {i}", s) for i, s in enumerate(calibration)]
+    tol_coeff = fit_margin_constant(cal_trajs, net, calibration, ctrl, delta_star).tol_coeff
     reports = [
-        check_decrease(roll(s), net, s, ctrl, delta_star, tol_coeff=fit.tol_coeff)
-        for s in battery
+        check_decrease(roll(f"trajectory {i}", s), net, s, ctrl, delta_star, tol_coeff=tol_coeff)
+        for i, s in enumerate(battery)
     ]
     worst = max(reports, key=lambda r: r.worst_margin)
     bounds = compute_gammas(
@@ -502,13 +528,14 @@ def cmd_certify(args) -> int:
     )
     roa = estimate_roa(net, bounds, delta_star)
     doc = certificate_report(bounds, worst, roa)
+    doc["pass"] = doc["pass"] and not exits
     doc.update(
         controller=label,
         case=args.case,
         dt=args.dt,
         horizon=args.horizon,
         n_trajectories=len(reports),
-        tol_coeff=fit.tol_coeff,
+        tol_coeff=tol_coeff,
         worst_by_trajectory=[r.worst_margin for r in reports],
     )
     out = _out_dir(args)
@@ -522,11 +549,14 @@ def cmd_certify(args) -> int:
     if doc["pass"]:
         print("certificate PASS")
         return EXIT_OK
-    print(
-        f"certificate FAILED: margin {worst.worst_margin:.3e} at "
-        f"t={worst.worst_time:.3f} s exceeds tol {worst.tol:.3e}",
-        file=sys.stderr,
-    )
+    for line in exits:
+        print(f"certificate FAILED: {line}", file=sys.stderr)
+    if not worst.passed:
+        print(
+            f"certificate FAILED: margin {worst.worst_margin:.3e} at "
+            f"t={worst.worst_time:.3f} s exceeds tol {worst.tol:.3e}",
+            file=sys.stderr,
+        )
     return EXIT_CERT
 
 
@@ -546,7 +576,11 @@ def _checked(kind, ok, what: str):
     return parse
 
 
-POSITIVE = _checked(float, lambda x: 0 < x < np.inf, "a finite positive number")
+def _finite_positive(x) -> bool:
+    return 0 < x < np.inf
+
+
+POSITIVE = _checked(float, _finite_positive, "a finite positive number")
 NONNEGATIVE = _checked(float, lambda x: 0 <= x < np.inf, "a finite nonnegative number")
 COUNT = _checked(int, lambda x: x > 0, "a positive integer")
 NONNEG_COUNT = _checked(int, lambda x: x >= 0, "a nonnegative integer")
@@ -611,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", type=COUNT, default=50)
     p.add_argument("--epochs", type=NONNEG_COUNT, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=POSITIVE, default=1e-3)
     p.add_argument("--batch-size", type=COUNT, default=25)
     p.add_argument("--dt", type=POSITIVE, default=0.01)
     p.add_argument("--noise", type=NONNEGATIVE, default=0.0, metavar="EPS")

@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .controllers import Controller
-from .netmodel import Network, grad_S, solve_equilibrium
+from .netmodel import Network, coi_project, grad_S, solve_equilibrium
 
 __all__ = [
     "BasisSignal",
@@ -315,8 +315,7 @@ def _derivs(net, controller, delta, omega, a_hat, p, view):
     """Closed-loop vector field, batched over leading axes; d_a is None for
     controllers without adaptive estimates."""
     u = controller.control(omega, view, a_hat if controller.n_features else None)
-    # np.add.reduce(x, -1)/n == x.mean(-1) bit for bit, minus the wrapper cost
-    d_delta = omega - np.add.reduce(omega, -1, keepdims=True) / omega.shape[-1]
+    d_delta = coi_project(omega)
     d_omega = (p - net.D * omega - u - grad_S(net, delta)) / net.M
     d_a = controller.adaptation(omega, view) if controller.n_features else None
     return d_delta, d_omega, d_a, u
@@ -345,7 +344,7 @@ def _advance(net, controller, basis, d, w, a, t, dt, p_extra, method, k1):
         na = a if k1[2] is None else a + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
     else:
         raise ValueError(f"unknown integration method {method!r}")
-    return nd - np.add.reduce(nd, -1, keepdims=True) / nd.shape[-1], nw, na
+    return coi_project(nd), nw, na
 
 
 def _check_finite(d, w, a, k: int, t: float) -> None:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .controllers import AdaptiveController, Controller
 from .dynamics import BasisSignal, Scenario, SystemState, Trajectory
-from .netmodel import Network, hessian_S
+from .netmodel import Network, coi_project, hessian_S
 
 __all__ = [
     "CertificationError",
@@ -127,10 +127,7 @@ class DecreaseReport:
     worst_margin: float
     worst_time: float
     tol: float
-    tol_coeff: float
-    dt: float
     passed: bool
-    n_points: int
     n_segments: int
 
 
@@ -139,8 +136,6 @@ class MarginFit:
     """Fitted tolerance constant for the decrease check."""
 
     tol_coeff: float
-    v3_max: float
-    safety: float
 
 
 def eval_Wp(net: Network, delta: np.ndarray, delta_star: np.ndarray) -> np.ndarray:
@@ -226,7 +221,7 @@ def compute_gammas(
     b1s, b2s = np.inf, -np.inf
     for _ in range(int(samples)):
         delta = gen.uniform(-half, half, net.n)
-        ev = np.linalg.eigvalsh(hessian_S(net, delta - delta.mean()))
+        ev = np.linalg.eigvalsh(hessian_S(net, coi_project(delta)))
         b1s = min(b1s, 0.5 * (ev[1] if net.n > 1 else 0.0))
         b2s = max(b2s, 0.5 * ev[-1])
 
@@ -302,8 +297,7 @@ def check_decrease(
     margin = np.concatenate([m for _, _, m in segs])
     # segments share their boundary records, so a record can appear twice
     records = np.concatenate([np.arange(s, s + m.size) for s, _, m in segs])
-    ok = ~np.isnan(margin)
-    if not ok.any():
+    if np.isnan(margin).all():
         raise ValueError("trajectory too short for the decrease check")
     k = int(np.nanargmax(margin))
     worst = float(margin[k])
@@ -312,10 +306,7 @@ def check_decrease(
         worst_margin=worst,
         worst_time=float(traj.t[records[k]]),
         tol=float(tol),
-        tol_coeff=float(tol_coeff),
-        dt=traj.dt,
         passed=bool(worst <= tol),
-        n_points=int(ok.sum()),
         n_segments=len(segs),
     )
 
@@ -345,7 +336,7 @@ def fit_margin_constant(
                 v3 = max(v3, float(np.abs(d3).max()))
     if v3 == 0.0:
         raise CertificationError("calibration trajectories too short to fit a tolerance")
-    return MarginFit(tol_coeff=float(safety * v3 / 3.0), v3_max=float(v3), safety=float(safety))
+    return MarginFit(tol_coeff=float(safety * v3 / 3.0))
 
 
 def estimate_roa(

@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import __version__
 from .controllers import (
     AdaptiveController,
     Controller,
@@ -47,7 +46,7 @@ from .dynamics import (
     _n_steps,
     make_sinusoid_basis,
 )
-from .netmodel import Network, hess_S_vecprod, solve_equilibrium
+from .netmodel import Network, coi_project, hess_S_vecprod, solve_equilibrium
 
 __all__ = [
     "AdamState",
@@ -233,7 +232,7 @@ def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, seed_w, s
         delta, omega = delta_h[k], omega_h[k]
         # the zero-mean projection is symmetric and idempotent, so both the
         # delta->delta and omega->delta branches pull back through it once
-        lam_dp = lam_d - np.add.reduce(lam_d, -1, keepdims=True) / n
+        lam_dp = coi_project(lam_d)
         g_m = lam_w / net.M
         bar_u = -dt * g_m + seed_u[k]
         new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta, g_m)
@@ -346,14 +345,12 @@ class AdamState:
 
 @dataclass(frozen=True, eq=False)
 class TrainReport:
-    """Loss curve, final controller, optimizer state, and the run configuration."""
+    """Loss curve, final controller, optimizer state, and whether the run aborted."""
 
     controller: Controller
     losses: tuple[float, ...]
-    config: dict
     optimizer: AdamState
     aborted: bool
-    version: str = __version__
 
 
 def train(
@@ -425,22 +422,9 @@ def train(
         good_raw, good_adam = raw.copy(), (adam.m, adam.v, adam.t)
         if callback is not None:
             callback(epoch, avg)
-    final = controller.with_raw_parameters(raw)
-    config = {
-        "epochs": epochs,
-        "start_epoch": start_epoch,
-        "batch_size": batch_size,
-        "lr": lr,
-        "seed": seed,
-        "dt": dt,
-        "smooth_max": smooth_max,
-        "n_scenarios": len(scenarios),
-        "controller": type(final).__name__,
-    }
     return TrainReport(
-        controller=final,
+        controller=controller.with_raw_parameters(raw),
         losses=tuple(losses),
-        config=config,
         optimizer=adam,
         aborted=aborted,
     )

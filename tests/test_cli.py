@@ -8,6 +8,25 @@ from swingfreq.cli import main
 from swingfreq.controllers import LinearController, save_controller
 
 
+# every numeric entry of certificate.json, by key path; the benchmark compares
+# the certificate's numbers against stored values by position
+CERTIFICATE_NUMBERS = {
+    "beta1", "beta1_sampled", "beta2", "beta2_sampled", "dt", "gamma1", "gamma2",
+    "horizon", "margin", "n_trajectories", "roa.r", "roa.rho", "samples", "tol",
+    "tol_coeff", "worst_by_trajectory[]", "worst_margin", "worst_time",
+}
+
+
+def numeric_paths(doc, prefix=""):
+    if isinstance(doc, dict):
+        return set().union(*(numeric_paths(v, f"{prefix}{k}.") for k, v in doc.items()))
+    if isinstance(doc, list):
+        return set().union(*(numeric_paths(v, prefix[:-1] + "[].") for v in doc))
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        return {prefix[:-1]}
+    return set()
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -164,6 +183,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(path) in err and "'seed'" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", -1.0), ("lr", 0.0), ("lr", float("nan")), ("lr", "fast"), ("dt", 0.0),
+    ])
+    def test_resumed_step_sizes_must_be_positive(self, key, value, tmp_path, capsys):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        rc = main([
+            "train", "--case", "two_bus", "--checkpoint", str(path),
+            "--epochs", "1", "--out", str(tmp_path / "resumed"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"'{key}'" in err
+        assert not (tmp_path / "resumed").exists()
+
     def test_resume_checks_optimizer_size(self, tmp_path, capsys):
         # two_bus droop has 2 raw parameters; a 1-entry moment would broadcast
         main(["train", "--case", "two_bus", "--controller", "droop",
@@ -299,6 +337,7 @@ class TestCertify:
         assert doc["pass"] is True
         assert doc["worst_margin"] <= doc["tol"]
         assert doc["n_trajectories"] == 3
+        assert numeric_paths(doc) == CERTIFICATE_NUMBERS
 
     def test_destabilizing_feedback_fails_with_violation_time(self, tmp_path, capsys):
         # u = -omega cancels more than the local damping on the 39-bus case
@@ -312,9 +351,22 @@ class TestCertify:
         assert rc == 4
         err = capsys.readouterr().err
         assert re.search(r"t=\d+\.\d+", err)
+        # every rolled trajectory, calibration ones included, leaves the region
+        # max |delta_i - delta_j| <= pi/2 - margin, named by its first exit
+        exits = re.findall(
+            r"(calibration trajectory|trajectory) (\d) left the operating region at "
+            r"t=\d+\.\d+ s: line (\d+)-(\d+) angle (\d+\.\d+) rad exceeds "
+            r"pi/2 - margin = 1\.561 rad", err,
+        )
+        assert {(kind, i) for kind, i, *_ in exits} == {
+            ("calibration trajectory", "0"), ("calibration trajectory", "1"),
+            ("trajectory", "0"), ("trajectory", "1"),
+        }
+        assert all(1 <= int(a) < int(b) <= 39 and float(x) > 1.561 for *_, a, b, x in exits)
         doc = json.loads((tmp_path / "certificate.json").read_text())
         assert doc["pass"] is False
         assert doc["worst_margin"] > doc["tol"]
+        assert numeric_paths(doc) == CERTIFICATE_NUMBERS
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -356,6 +408,8 @@ def test_every_command_checks_thread_cap(command, tmp_path, monkeypatch, capsys)
     ("train", "--log-every", "0"),
     ("train", "--batch-size", "0"),
     ("train", "--epochs", "-1"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "-1"),
     ("evaluate", "--scenarios", "0"),
     ("certify", "--samples", "0"),
     ("certify", "--scenarios", "0"),

@@ -344,15 +344,6 @@ class TestTrain:
             rep.controller.raw_parameters(), clean.controller.raw_parameters()
         )
 
-    def test_config_echo(self, two_bus):
-        cost = make_cost_spec(two_bus, 1)
-        scens = make_scenarios(two_bus, 4, 2)
-        rep = train(two_bus, DroopController.initial(2), scens, cost, epochs=1, batch_size=2, seed=3)
-        assert rep.config["seed"] == 3
-        assert rep.config["batch_size"] == 2
-        assert rep.config["n_scenarios"] == 4
-        assert rep.version
-
 
 def test_integration_error_names_step(two_bus):
     # a gain far beyond the Euler stability limit makes the forward pass overflow
