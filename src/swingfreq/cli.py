@@ -10,7 +10,9 @@ adaptive) or a path to a saved controller; `--checkpoint` points at a
 training checkpoint.  All randomness is keyed by `--seed`, and output files
 are byte-identical across reruns with the same arguments.  `evaluate`
 integrates each controller's whole scenario battery as one batch on one
-thread.  The SWINGFREQ_THREADS environment variable, when set, must be a
+thread; `certify` integrates its calibration and battery scenarios as one
+batch and streams their energy terms instead of keeping state histories.
+The SWINGFREQ_THREADS environment variable, when set, must be a
 positive integer; no result depends on its value.
 """
 
@@ -48,11 +50,13 @@ from .dynamics import (
 )
 from .lyapunov import (
     CertificationError,
+    EnergySeries,
     certificate_report,
-    check_decrease,
     compute_gammas,
     estimate_roa,
-    fit_margin_constant,
+    series_decrease,
+    series_margin_constant,
+    stream_energy,
 )
 from .netmodel import (
     AssumptionViolation,
@@ -256,22 +260,20 @@ def cmd_train(args) -> int:
                 f"checkpoint was trained on case {cfg.get('case')!r}, not {args.case!r}"
             )
         _sized(ctrl, net)
-        keys = ("seed", "n_scenarios", "batch_size", "lr", "dt", "smooth_max")
         try:
-            seed, n_scen, batch_size, lr, dt, smooth = (cfg[k] for k in keys)
+            conf = {k: cfg.get(k, 0.0) if k == "noise" else cfg[k] for k in CONFIG_CHECKS}
             cost = CostSpec(
                 cfg["cost"]["gamma"], np.array(cfg["cost"]["c"]), cfg["cost"]["T"]
             )
-            start = cfg["epochs_done"]
         except KeyError as exc:
             raise _missing_key(args.checkpoint, "config", exc) from None
-        for key, value in (("lr", lr), ("dt", dt)):
-            if not (isinstance(value, (int, float)) and _finite_positive(value)):
+        for key, (ok, what) in CONFIG_CHECKS.items():
+            if not ok(conf[key]):
                 raise ControllerError(
                     f"malformed checkpoint {args.checkpoint}: config key '{key}' must "
-                    f"be a finite positive number, got {value!r}"
+                    f"be {what}, got {conf[key]!r}"
                 )
-        noise = cfg.get("noise", 0.0)
+        seed, n_scen, batch_size, start, lr, dt, noise, smooth = conf.values()
         ctype = cfg.get("controller_type", type(ctrl).__name__)
     else:
         ctrl, ctype = _resolve_controller(args, net)
@@ -474,17 +476,16 @@ def _certify_battery(
     return tuple(out)
 
 
-def _region_exit(net: Network, traj, bound: float) -> str | None:
-    """Where `traj` first has a line angle |delta_i - delta_j| above `bound`."""
-    spread = np.abs(net.edge_differences(traj.delta))  # (K+1, E), dropped on return
-    out = np.flatnonzero(spread.max(axis=-1) > bound)
+def _region_exit(net: Network, series: EnergySeries, row: int, bound: float) -> str | None:
+    """Where a row first has a line angle |delta_i - delta_j| above `bound`."""
+    out = np.flatnonzero(series.spread[:, row] > bound)
     if not out.size:
         return None
-    k, e = out[0], int(spread[out[0]].argmax())
-    i, j = net.edges[e]
+    k = out[0]
+    i, j = net.edges[series.edge[k, row]]
     return (
-        f"t={traj.t[k]:.3f} s: line {net.bus_ids[i]}-{net.bus_ids[j]} angle "
-        f"{spread[k, e]:.3f} rad exceeds pi/2 - margin = {bound:.3f} rad"
+        f"t={series.t[k]:.3f} s: line {net.bus_ids[i]}-{net.bus_ids[j]} angle "
+        f"{series.spread[k, row]:.3f} rad exceeds pi/2 - margin = {bound:.3f} rad"
     )
 
 
@@ -502,25 +503,29 @@ def cmd_certify(args) -> int:
     batt_ss, cal_ss = np.random.SeedSequence(args.seed).spawn(2)
     battery = _certify_battery(net, ctrl, args.scenarios, batt_ss, delta_star)
     calibration = _certify_battery(net, ctrl, args.calibration, cal_ss, delta_star)
+    names = [f"calibration trajectory {i}" for i in range(len(calibration))]
+    names += [f"trajectory {i}" for i in range(len(battery))]
+    # one batch, calibration rows first, reduced to energy terms as it runs
+    try:
+        series = stream_energy(
+            net, ctrl, calibration + battery, delta_star, horizon=args.horizon, dt=args.dt
+        )
+    except IntegrationError as exc:
+        raise IntegrationError(
+            f"{names[exc.row]} diverged: non-finite state at step {exc.step} "
+            f"(t={exc.t:.6g})"
+        ) from None
     bound = np.pi / 2 - args.margin
-    exits = []
-
-    # one scenario per batch: a battery's histories would dominate memory
-    def roll(name: str, scen: Scenario):
-        traj = rollout_batch(
-            net, ctrl, [scen], horizon=args.horizon, dt=args.dt,
-            delta_star=delta_star, record=("delta", "omega", "a_hat"),
-        )[0]
-        where = _region_exit(net, traj, bound)
-        if where is not None:
-            exits.append(f"{name} left the operating region at {where}")
-        return traj
-
-    cal_trajs = [roll(f"calibration trajectory {i}", s) for i, s in enumerate(calibration)]
-    tol_coeff = fit_margin_constant(cal_trajs, net, calibration, ctrl, delta_star).tol_coeff
+    exits = [
+        f"{name} left the operating region at {where}"
+        for row, name in enumerate(names)
+        if (where := _region_exit(net, series, row, bound)) is not None
+    ]
+    cal_rows = range(len(calibration))
+    tol_coeff = series_margin_constant(series, cal_rows).tol_coeff
     reports = [
-        check_decrease(roll(f"trajectory {i}", s), net, s, ctrl, delta_star, tol_coeff=tol_coeff)
-        for i, s in enumerate(battery)
+        series_decrease(series, row, tol_coeff=tol_coeff)
+        for row in range(len(calibration), len(names))
     ]
     worst = max(reports, key=lambda r: r.worst_margin)
     bounds = compute_gammas(
@@ -585,6 +590,30 @@ NONNEGATIVE = _checked(float, lambda x: 0 <= x < np.inf, "a finite nonnegative n
 COUNT = _checked(int, lambda x: x > 0, "a positive integer")
 NONNEG_COUNT = _checked(int, lambda x: x >= 0, "a nonnegative integer")
 MARGIN = _checked(float, lambda x: 0 < x < np.pi / 2, "strictly between 0 and pi/2")
+
+
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# what a resumed checkpoint's config may hold, as (check, description), in
+# the order cmd_train unpacks them
+_COUNT_CHECK = (lambda x: _integer(x) and x >= 1, "a positive integer")
+_STEP_CHECK = (lambda x: _real(x) and _finite_positive(x), "a finite positive number")
+CONFIG_CHECKS = {
+    "seed": (_integer, "an integer"),
+    "n_scenarios": _COUNT_CHECK,
+    "batch_size": _COUNT_CHECK,
+    "epochs_done": (lambda x: _integer(x) and x >= 0, "a nonnegative integer"),
+    "lr": _STEP_CHECK,
+    "dt": _STEP_CHECK,
+    "noise": (lambda x: _real(x) and 0 <= x < np.inf, "a finite nonnegative number"),
+    "smooth_max": (lambda x: isinstance(x, bool), "true or false"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,10 +22,11 @@ There is one integrator, `_integrate`: it advances a `ScenarioStack` (the one
 path from scenarios to stacked arrays: a stacked `BasisSignal` and one
 stream of per-step injections) with state shape (B, n), evaluating features,
 injections and the controller for every scenario in one call per stage, and
-returns time-major histories.  `rollout_batch` wraps it for scenario
+returns time-major histories of what it is asked to record, or hands each
+record's state to an observer.  `rollout_batch` wraps it for scenario
 batteries, `rollout` is the batch-of-one case, `step` advances a lone state
-through the same stage code, and training calls `_integrate` directly for
-its Euler forward pass.
+through the same stage code, training calls `_integrate` directly for its
+Euler forward pass, and certification observes instead of recording.
 """
 
 from __future__ import annotations
@@ -58,7 +59,15 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """State became non-finite while integrating."""
+    """State became non-finite while integrating.
+
+    The integrator sets `row` (the first non-finite batch row), `step` and
+    `t`, so a caller can name the offending scenario in its own terms.
+    """
+
+    def __init__(self, message: str, *, row=None, step=None, t=None):
+        super().__init__(message)
+        self.row, self.step, self.t = row, step, t
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,8 +361,11 @@ def _check_finite(d, w, a, k: int, t: float) -> None:
     if np.isfinite(d).all() and np.isfinite(w).all() and np.isfinite(a).all():
         return
     ok = np.isfinite(d).all(-1) & np.isfinite(w).all(-1) & np.isfinite(a).all((-2, -1))
-    where = f" in scenario {int(np.argmin(ok))}" if ok.size > 1 else ""
-    raise IntegrationError(f"non-finite state{where} at step {k} (t={t:.6g})")
+    row = int(np.argmin(ok))
+    where = f" in scenario {row}" if ok.size > 1 else ""
+    raise IntegrationError(
+        f"non-finite state{where} at step {k} (t={t:.6g})", row=row, step=k, t=t
+    )
 
 
 def step(
@@ -452,13 +464,17 @@ def _n_steps(horizon: float, dt: float) -> int:
 
 
 def _integrate(
-    net: Network, controller: Controller, stack: ScenarioStack, method: str, record
+    net: Network, controller: Controller, stack: ScenarioStack, method: str, record,
+    observe=None,
 ) -> dict[str, np.ndarray]:
     """Integrate a stacked battery for `stack.n_steps` steps of `stack.dt`.
 
     Returns time-major histories, (K+1, B, n) and (K+1, B, n, l) for a_hat,
     for the names in `record`; time-major keeps each step's batch contiguous
-    for the adjoint sweep.  Raises IntegrationError naming scenario and step.
+    for the adjoint sweep.  `observe`, when given, is called at every record
+    as observe(k, delta, omega, a_hat) with the (B, ...) state, so a caller
+    can reduce the run as it goes instead of recording it.  Raises
+    IntegrationError naming scenario and step.
     """
     n_steps, dt = stack.n_steps, stack.dt
     B, n, l = stack.B, stack.n, controller.n_features
@@ -474,6 +490,8 @@ def _integrate(
         now = {"delta": d, "omega": w, "u": k1[3], "p": p, "a_hat": a}
         for name, arr in hist.items():
             arr[k] = now[name]
+        if observe is not None:
+            observe(k, d, w, a)
         if k == n_steps:
             break
         d, w, a = _advance(net, controller, stack.basis, d, w, a, t, dt, p_extra, method, k1)

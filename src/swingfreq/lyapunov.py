@@ -29,6 +29,14 @@ inside, second-order one-sided at the ends), keeping the error O(dt^2); the
 constant c in `tol = c * dt^2` comes from `fit_margin_constant`, which
 measures the third derivative of V driving that stencil error.
 
+Both read an `EnergySeries`: per-record (K+1, B) terms of V, the damping
+dissipation and the largest line angle.  `stream_energy` fills one while it
+integrates a battery, through the integrator's per-record observer, so no
+state history is kept; `check_decrease` and `fit_margin_constant` build one
+from a recorded `Trajectory`, its records taken as the batch, and stay the
+independent oracle of the streamed path.  One function computes the terms
+and one path splits segments and applies the stencils, for both.
+
 Everything here needs the true basis coefficients, so this module is
 simulation-side instrumentation: controllers never see it.
 """
@@ -41,12 +49,21 @@ from typing import Sequence
 import numpy as np
 
 from .controllers import AdaptiveController, Controller
-from .dynamics import BasisSignal, Scenario, SystemState, Trajectory
+from .dynamics import (
+    BasisSignal,
+    Scenario,
+    ScenarioStack,
+    SystemState,
+    Trajectory,
+    _integrate,
+    _n_steps,
+)
 from .netmodel import Network, coi_project, hessian_S
 
 __all__ = [
     "CertificationError",
     "DecreaseReport",
+    "EnergySeries",
     "GammaBounds",
     "LyapunovEval",
     "MarginFit",
@@ -58,6 +75,9 @@ __all__ = [
     "eval_V",
     "eval_Wp",
     "fit_margin_constant",
+    "series_decrease",
+    "series_margin_constant",
+    "stream_energy",
 ]
 
 
@@ -148,15 +168,19 @@ def eval_Wp(net: Network, delta: np.ndarray, delta_star: np.ndarray) -> np.ndarr
 def _energy(net, controller, delta_star, delta, omega, a_hat, coeffs):
     """Kinetic, potential and estimation (0.0 without `coeffs`) parts of V; batched."""
     kinetic = 0.5 * (net.M * omega**2).sum(axis=-1)
-    wp = eval_Wp(net, delta, delta_star)
+    return kinetic, eval_Wp(net, delta, delta_star), _estimation_error(controller, a_hat, coeffs)
+
+
+def _estimation_error(controller, a_hat, coeffs):
+    """1/2 sum_i (ahat_i - a_i)' A_i^-1 (ahat_i - a_i), batched; 0.0 without `coeffs`."""
     if coeffs is None:
-        return kinetic, wp, 0.0
-    if coeffs.shape != a_hat.shape[-2:]:
+        return 0.0
+    if coeffs.shape[-2:] != a_hat.shape[-2:]:
         raise ValueError(
-            f"estimate/coefficient shape mismatch: {a_hat.shape[-2:]} vs {coeffs.shape}"
+            f"estimate/coefficient shape mismatch: {a_hat.shape[-2:]} vs {coeffs.shape[-2:]}"
         )
     err = a_hat - coeffs
-    return kinetic, wp, 0.5 * (err * err / controller.rates).sum(axis=(-2, -1))
+    return 0.5 * (err * err / controller.rates).sum(axis=(-2, -1))
 
 
 def eval_V(
@@ -245,35 +269,165 @@ def compute_gammas(
     )
 
 
-def _segments(traj, net, scenario, controller, delta_star):
-    """Yield (start, V, dV/dt + sum_i D_i omega_i^2) per inter-onset segment.
+@dataclass(frozen=True, eq=False)
+class EnergySeries:
+    """Per-record energy terms of a battery, each array (K+1, B), row b
+    belonging to `scenarios[b]`; `t` holds the record times.
 
-    The steps active at a segment's start are folded into the constant
-    feature.  dV/dt is central inside, one-sided at the ends (both second
-    order) and NaN on segments of fewer than 3 records.
+    `kinetic_wp` is the kinetic energy plus W_p.  `est` is the estimation
+    error with the steps active at the record folded into the constant
+    feature, `est_prev` the same with the steps active one step earlier (the
+    two differ only at onset records); both are zero for controllers without
+    estimates.  `diss` is sum_i D_i omega_i^2, and `spread` the largest line
+    angle |delta_i - delta_j| with `edge` its line index.
     """
-    dist, dt = scenario.dist, traj.dt
+
+    scenarios: tuple[Scenario, ...]
+    t: np.ndarray
+    dt: float
+    kinetic_wp: np.ndarray
+    est: np.ndarray
+    est_prev: np.ndarray
+    diss: np.ndarray
+    spread: np.ndarray
+    edge: np.ndarray
+
+
+def _terms(net, controller, delta_star, delta, omega, a_hat, target, target_prev):
+    """The `EnergySeries` terms, in field order, at a batch of states (any leading axes).
+
+    `target` is the estimation target (None without estimates), and
+    `target_prev` the one a step earlier (None: the same).
+    """
+    kinetic, wp, est = _energy(net, controller, delta_star, delta, omega, a_hat, target)
+    est_prev = est if target_prev is None else _estimation_error(controller, a_hat, target_prev)
+    spread = np.abs(net.edge_differences(delta))
+    return (
+        kinetic + wp, est, est_prev, (net.D * omega**2).sum(axis=-1),
+        spread.max(axis=-1), spread.argmax(axis=-1),
+    )
+
+
+def _targets(controller, scenarios, dt: float, n_steps: int) -> dict[int, np.ndarray] | None:
+    """Estimation targets of a battery, (B, n, l), at record 0 and at every
+    onset of any scenario: the true coefficients in the controller's view
+    with the steps active from that record on folded into the constant
+    feature.  None for controllers without estimates."""
+    if not isinstance(controller, AdaptiveController):
+        return None
+    coeffs = controller.select_features(np.stack([s.basis.coeffs for s in scenarios]))
+    n = coeffs.shape[-2]
+    onsets = {k for s in scenarios for k in s.dist.onset_indices(dt, n_steps)}
+    out = {}
+    for k in sorted({0} | onsets):
+        fold = np.array(coeffs)
+        fold[..., -1] += np.stack([s.dist.injection(n, k * dt, dt) for s in scenarios])
+        out[k] = fold
+    return out
+
+
+def stream_energy(
+    net: Network,
+    controller: Controller,
+    scenarios: Sequence[Scenario],
+    delta_star: np.ndarray,
+    *,
+    horizon: float,
+    dt: float,
+) -> EnergySeries:
+    """Integrate a battery as one RK4 batch, keeping only its energy terms.
+
+    The integrator hands every record's (B, n) state to an observer that
+    fills the (K+1, B) series, so no horizon-long state history is kept.  A
+    row's terms match those `check_decrease` takes from the `rollout_batch`
+    trajectory of the same battery.  IntegrationError carries the first
+    diverging row.
+    """
+    scenarios = tuple(scenarios)
+    n_steps = _n_steps(horizon, dt)
+    stack = ScenarioStack(net, scenarios, dt, n_steps, controller.n_features, delta_star)
+    shape = (n_steps + 1, stack.B)
+    columns = [np.empty(shape) for _ in range(5)] + [np.empty(shape, dtype=int)]
+    targets = _targets(controller, scenarios, dt, n_steps)
+    target = None
+
+    def observe(k, delta, omega, a_hat):
+        nonlocal target
+        prev = None
+        if targets is not None and k in targets:
+            prev, target = target, targets[k]
+        terms = _terms(net, controller, delta_star, delta, omega, a_hat, target, prev)
+        for col, x in zip(columns, terms):
+            col[k] = x
+
+    _integrate(net, controller, stack, "rk4", (), observe)
+    return EnergySeries(scenarios, np.arange(n_steps + 1) * dt, dt, *columns)
+
+
+def _trajectory_series(traj, net, scenario, controller, delta_star) -> EnergySeries:
+    """The series of one recorded trajectory, its K+1 records taken as one batch."""
+    n_steps = traj.n_records - 1
+    targets = _targets(controller, [scenario], traj.dt, n_steps)
+    target = prev = None
+    if targets is not None:
+        keys = sorted(targets)
+        table = np.concatenate([targets[k] for k in keys])
+        at = np.searchsorted(keys, np.arange(n_steps + 1), side="right") - 1
+        target, prev = table[at], table[np.concatenate([at[:1], at[:-1]])]
+    terms = _terms(
+        net, controller, delta_star, traj.delta, traj.omega, traj.a_hat, target, prev
+    )
+    return EnergySeries(
+        (scenario,), traj.t, traj.dt,
+        *(np.broadcast_to(x, (n_steps + 1,))[:, None] for x in terms),
+    )
+
+
+def _segments(series: EnergySeries, row: int):
+    """Yield (start, V, dV/dt + sum_i D_i omega_i^2) per inter-onset segment of a row.
+
+    The steps active at a segment's start stay folded into the constant
+    feature through its last record, the onset of the next steps included.
+    dV/dt is central inside, one-sided at the ends (both second order) and
+    NaN on segments of fewer than 3 records.
+    """
+    dist, dt = series.scenarios[row].dist, series.dt
     if dist.noise_eps:
         raise ValueError("the decrease check needs a noise-free scenario")
-    n_steps = traj.n_records - 1
-    bounds = [0, *dist.onset_indices(dt, n_steps), n_steps]
+    n_steps = series.t.shape[0] - 1
+    onsets = dist.onset_indices(dt, n_steps)
+    bounds = [0, *onsets, n_steps]
     for start, end in zip(bounds[:-1], bounds[1:]):
-        sl = slice(start, end + 1)
-        a_hat = coeffs = None
-        if isinstance(controller, AdaptiveController):
-            a_hat = traj.a_hat[sl]
-            coeffs = np.array(controller.select_features(scenario.basis.coeffs))
-            coeffs[:, -1] += dist.injection(net.n, start * dt, dt)
-        kinetic, wp, est = _energy(
-            net, controller, delta_star, traj.delta[sl], traj.omega[sl], a_hat, coeffs
-        )
-        v = kinetic + wp + est
+        est = series.est[start:end + 1, row]
+        if end > start and end in onsets:
+            est = np.append(est[:-1], series.est_prev[end, row])
+        v = series.kinetic_wp[start:end + 1, row] + est
         dv = np.full(v.shape, np.nan)
         if v.size >= 3:
             dv[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
             dv[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
             dv[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dt)
-        yield start, v, dv + (net.D * traj.omega[sl] ** 2).sum(axis=-1)
+        yield start, v, dv + series.diss[start:end + 1, row]
+
+
+def series_decrease(series: EnergySeries, row: int, *, tol_coeff: float) -> DecreaseReport:
+    """`check_decrease` on one row of a series."""
+    segs = list(_segments(series, row))
+    margin = np.concatenate([m for _, _, m in segs])
+    # segments share their boundary records, so a record can appear twice
+    records = np.concatenate([np.arange(s, s + m.size) for s, _, m in segs])
+    if np.isnan(margin).all():
+        raise ValueError("trajectory too short for the decrease check")
+    k = int(np.nanargmax(margin))
+    worst = float(margin[k])
+    tol = tol_coeff * series.dt**2
+    return DecreaseReport(
+        worst_margin=worst,
+        worst_time=float(series.t[records[k]]),
+        tol=float(tol),
+        passed=bool(worst <= tol),
+        n_segments=len(segs),
+    )
 
 
 def check_decrease(
@@ -293,22 +447,32 @@ def check_decrease(
     signals a controller outside the certified class (or a tolerance
     constant fitted at the wrong dt).
     """
-    segs = list(_segments(traj, net, scenario, controller, delta_star))
-    margin = np.concatenate([m for _, _, m in segs])
-    # segments share their boundary records, so a record can appear twice
-    records = np.concatenate([np.arange(s, s + m.size) for s, _, m in segs])
-    if np.isnan(margin).all():
-        raise ValueError("trajectory too short for the decrease check")
-    k = int(np.nanargmax(margin))
-    worst = float(margin[k])
-    tol = tol_coeff * traj.dt**2
-    return DecreaseReport(
-        worst_margin=worst,
-        worst_time=float(traj.t[records[k]]),
-        tol=float(tol),
-        passed=bool(worst <= tol),
-        n_segments=len(segs),
-    )
+    series = _trajectory_series(traj, net, scenario, controller, delta_star)
+    return series_decrease(series, 0, tol_coeff=tol_coeff)
+
+
+def _third_derivative(series: EnergySeries, row: int) -> float:
+    """max |V'''| over the row's segments of 5 records or more (0.0 if none)."""
+    v3 = 0.0
+    for _, v, _ in _segments(series, row):
+        if v.size >= 5:
+            d3 = (v[4:] - 2 * v[3:-1] + 2 * v[1:-3] - v[:-4]) / (2 * series.dt**3)
+            v3 = max(v3, float(np.abs(d3).max()))
+    return v3
+
+
+def _margin_fit(v3s, safety: float) -> MarginFit:
+    v3 = max([0.0, *v3s])
+    if v3 == 0.0:
+        raise CertificationError("calibration trajectories too short to fit a tolerance")
+    return MarginFit(tol_coeff=float(safety * v3 / 3.0))
+
+
+def series_margin_constant(
+    series: EnergySeries, rows: Sequence[int], *, safety: float = 4.0
+) -> MarginFit:
+    """`fit_margin_constant` on the given rows of a series."""
+    return _margin_fit((_third_derivative(series, b) for b in rows), safety)
 
 
 def fit_margin_constant(
@@ -328,15 +492,13 @@ def fit_margin_constant(
     Calibrating on rollouts of other scenarios than the ones under test
     keeps the tolerance independent of the check it feeds.
     """
-    v3 = 0.0
-    for traj, scen in zip(trajectories, scenarios, strict=True):
-        for _, v, _ in _segments(traj, net, scen, controller, delta_star):
-            if v.size >= 5:
-                d3 = (v[4:] - 2 * v[3:-1] + 2 * v[1:-3] - v[:-4]) / (2 * traj.dt**3)
-                v3 = max(v3, float(np.abs(d3).max()))
-    if v3 == 0.0:
-        raise CertificationError("calibration trajectories too short to fit a tolerance")
-    return MarginFit(tol_coeff=float(safety * v3 / 3.0))
+    return _margin_fit(
+        (
+            _third_derivative(_trajectory_series(traj, net, scen, controller, delta_star), 0)
+            for traj, scen in zip(trajectories, scenarios, strict=True)
+        ),
+        safety,
+    )
 
 
 def estimate_roa(

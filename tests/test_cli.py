@@ -202,6 +202,27 @@ class TestTrain:
         assert str(path) in err and f"'{key}'" in err
         assert not (tmp_path / "resumed").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "x"), ("batch_size", 2.5), ("smooth_max", "yes"), ("batch_size", 0),
+        ("n_scenarios", 0), ("epochs_done", -1), ("noise", -1),
+    ])
+    def test_resumed_config_values_are_checked(self, key, value, tmp_path, capsys):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        rc = main([
+            "train", "--case", "two_bus", "--checkpoint", str(path),
+            "--epochs", "1", "--out", str(tmp_path / "resumed"),
+        ])
+        assert rc == 2
+        assert f"malformed checkpoint {path}: config key '{key}' must be" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "resumed").exists()
+
     def test_resume_checks_optimizer_size(self, tmp_path, capsys):
         # two_bus droop has 2 raw parameters; a 1-entry moment would broadcast
         main(["train", "--case", "two_bus", "--controller", "droop",
@@ -366,6 +387,45 @@ class TestCertify:
         doc = json.loads((tmp_path / "certificate.json").read_text())
         assert doc["pass"] is False
         assert doc["worst_margin"] > doc["tol"]
+        assert numeric_paths(doc) == CERTIFICATE_NUMBERS
+
+    def test_diverging_trajectory_is_named(self, tmp_path, capsys):
+        path = tmp_path / "negative.json"
+        save_controller(LinearController(np.full(2, -300.0)), path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([
+                "certify", "--case", "two_bus", "--controller", str(path),
+                "--scenarios", "2", "--calibration", "2", "--samples", "10",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert rc == 1
+        assert re.search(
+            r"error: (calibration trajectory|trajectory) [01] diverged: "
+            r"non-finite state at step \d+ \(t=\d+\.\d+\)",
+            capsys.readouterr().err,
+        )
+
+    def test_battery_is_one_batch_without_histories(self, tmp_path, monkeypatch):
+        from swingfreq import dynamics, lyapunov, training
+
+        calls = []
+        integrate = dynamics._integrate
+
+        def recording(net, controller, stack, method, record, observe=None):
+            hist = integrate(net, controller, stack, method, record, observe)
+            calls.append((stack.B, tuple(record), observe is not None, hist))
+            return hist
+
+        for mod in (dynamics, lyapunov, training):
+            monkeypatch.setattr(mod, "_integrate", recording)
+        assert main([
+            "certify", "--case", "two_bus", "--controller", "adaptive",
+            "--scenarios", "3", "--calibration", "2", "--samples", "20",
+            "--out", str(tmp_path),
+        ]) == 0
+        # calibration and battery in one batch, reduced by an observer
+        assert calls == [(5, (), True, {})]
+        doc = json.loads((tmp_path / "certificate.json").read_text())
         assert numeric_paths(doc) == CERTIFICATE_NUMBERS
 
     def test_rerun_is_byte_identical(self, tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from swingfreq.cli import EVAL_ONSET
 from swingfreq.controllers import (
     AdaptiveController,
     DroopController,
     LinearController,
+    MonotonePWLController,
 )
 from swingfreq.dynamics import (
     Disturbance,
@@ -24,8 +26,12 @@ from swingfreq.lyapunov import (
     eval_V,
     eval_Wp,
     fit_margin_constant,
+    series_decrease,
+    series_margin_constant,
+    stream_energy,
 )
-from swingfreq.netmodel import Network, grad_S, potential_S
+from swingfreq.netmodel import Network, coi_project, grad_S, potential_S
+from swingfreq.training import make_scenarios
 
 
 def zero_injection_two_bus(two_bus):
@@ -270,6 +276,71 @@ class TestDecrease:
             check_decrease(row, two_bus, scen, ctrl, two_bus_eq, tol_coeff=1.0)
         with pytest.raises(ValueError, match="noise"):
             fit_margin_constant([row], two_bus, [scen], ctrl, two_bus_eq)
+
+
+def ne39_adaptive_battery(ne39, ne39_eq):
+    ctrl = AdaptiveController.initial(MonotonePWLController.initial(39), 3)
+    return ne39, ne39_eq, ctrl, make_scenarios(ne39, 3, 11, onset=EVAL_ONSET)
+
+
+def two_bus_droop_battery(two_bus, two_bus_eq):
+    rng = np.random.default_rng(12)
+    scens = [
+        Scenario(Disturbance(), make_constant_basis(2), SystemState(
+            coi_project(two_bus_eq + rng.uniform(-0.05, 0.05, 2)),
+            rng.uniform(-0.05, 0.05, 2), np.zeros((2, 0)),
+        ))
+        for _ in range(3)
+    ]
+    return two_bus, two_bus_eq, DroopController.initial(2), scens
+
+
+def two_onset_battery(two_bus, two_bus_eq):
+    # the second row's onset falls inside the first row's middle segment
+    ctrl = AdaptiveController.initial(DroopController.initial(2), 3)
+    scens = [
+        Scenario(Disturbance(steps=((0, 0.3, 1.0), (1, -0.2, 2.0))), make_sinusoid_basis(2, 13)),
+        Scenario(Disturbance(steps=((1, 0.25, 1.5),)), make_sinusoid_basis(2, 14)),
+    ]
+    return two_bus, two_bus_eq, ctrl, scens
+
+
+@pytest.mark.parametrize("battery", [
+    ne39_adaptive_battery, two_bus_droop_battery, two_onset_battery,
+])
+def test_streamed_terms_match_the_trajectory_oracle(battery, request):
+    names = ("ne39", "ne39_eq") if battery is ne39_adaptive_battery else ("two_bus", "two_bus_eq")
+    net, eq, ctrl, scens = battery(*map(request.getfixturevalue, names))
+    horizon, dt = 3.0, 0.005
+    trajs = rollout_batch(
+        net, ctrl, scens, horizon=horizon, dt=dt, delta_star=eq,
+        record=("delta", "omega", "a_hat"),
+    )
+    fit = fit_margin_constant(trajs, net, scens, ctrl, eq)
+    oracle = [
+        check_decrease(traj, net, s, ctrl, eq, tol_coeff=fit.tol_coeff)
+        for traj, s in zip(trajs, scens)
+    ]
+
+    series = stream_energy(net, ctrl, scens, eq, horizon=horizon, dt=dt)
+    streamed_fit = series_margin_constant(series, range(len(scens)))
+    streamed = [
+        series_decrease(series, b, tol_coeff=fit.tol_coeff) for b in range(len(scens))
+    ]
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    assert close(streamed_fit.tol_coeff, fit.tol_coeff)
+    for got, want in zip(streamed, oracle, strict=True):
+        assert close(got.worst_margin, want.worst_margin)
+        assert close(got.tol, want.tol)
+        assert got.worst_time == want.worst_time
+        assert got.n_segments == want.n_segments
+        assert got.passed == want.passed
+    assert [r.n_segments for r in oracle] == [
+        1 + len(s.dist.onset_indices(dt, round(horizon / dt))) for s in scens
+    ]
 
 
 class TestRoa:
