@@ -260,20 +260,25 @@ def cmd_train(args) -> int:
                 f"checkpoint was trained on case {cfg.get('case')!r}, not {args.case!r}"
             )
         _sized(ctrl, net)
+        conf = {"noise": 0.0, **cfg}  # a config without noise trains noise-free
         try:
-            conf = {k: cfg.get(k, 0.0) if k == "noise" else cfg[k] for k in CONFIG_CHECKS}
             cost = CostSpec(
                 cfg["cost"]["gamma"], np.array(cfg["cost"]["c"]), cfg["cost"]["T"]
             )
+            for key, (ok, what) in CONFIG_CHECKS.items():
+                if not ok(conf[key]):
+                    raise ControllerError(
+                        f"malformed checkpoint {args.checkpoint}: config key '{key}' "
+                        f"must be {what}, got {conf[key]!r}"
+                    )
         except KeyError as exc:
             raise _missing_key(args.checkpoint, "config", exc) from None
-        for key, (ok, what) in CONFIG_CHECKS.items():
-            if not ok(conf[key]):
-                raise ControllerError(
-                    f"malformed checkpoint {args.checkpoint}: config key '{key}' must "
-                    f"be {what}, got {conf[key]!r}"
-                )
-        seed, n_scen, batch_size, start, lr, dt, noise, smooth = conf.values()
+        seed, n_scen, batch_size, start, lr, dt, noise, smooth = (
+            conf[k] for k in (
+                "seed", "n_scenarios", "batch_size", "epochs_done",
+                "lr", "dt", "noise", "smooth_max",
+            )
+        )
         ctype = cfg.get("controller_type", type(ctrl).__name__)
     else:
         ctrl, ctype = _resolve_controller(args, net)
@@ -600,8 +605,7 @@ def _real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-# what a resumed checkpoint's config may hold, as (check, description), in
-# the order cmd_train unpacks them
+# what a resumed checkpoint's config may hold, as (check, description)
 _COUNT_CHECK = (lambda x: _integer(x) and x >= 1, "a positive integer")
 _STEP_CHECK = (lambda x: _real(x) and _finite_positive(x), "a finite positive number")
 CONFIG_CHECKS = {

@@ -234,6 +234,18 @@ def equilibrium_state(
     )
 
 
+def _step_table(
+    scenarios: Sequence[Scenario], n: int, dt: float, n_steps: int
+) -> dict[int, np.ndarray]:
+    """Step injections of a battery, (B, n), at k = 0 and at each record
+    index where a step of any scenario switches on; held in between."""
+    onsets = {k for s in scenarios for k in s.dist.onset_indices(dt, n_steps)}
+    return {
+        k: np.stack([s.dist.injection(n, k * dt, dt) for s in scenarios])
+        for k in sorted({0} | onsets)
+    }
+
+
 NOISE_BLOCK = 64  # steps of injection noise drawn per generator call
 
 
@@ -243,7 +255,8 @@ class ScenarioStack:
     `basis` stacks the scenarios' bases, (B, n, l); `injections()` streams
     each step's step-plus-noise injection, (B, n), with the noise drawn as a
     lone rollout of each scenario draws it; `delta0`, `omega0` (B, n) and
-    `a0` (B, n, l_ctrl) are the initial states.  Nothing here is horizon-long.
+    `a0` (B, n, l_ctrl) are the initial states; `steps` is the battery's
+    `_step_table`.  Nothing here is horizon-long.
     """
 
     def __init__(
@@ -271,13 +284,7 @@ class ScenarioStack:
             np.stack([s.basis.coeffs for s in scenarios]),
             first.dt_ref,
         )
-        # every scenario's step injections at k = 0 and at each step index
-        # where a step of any of them switches on; held in between
-        onsets = {k for s in scenarios for k in s.dist.onset_indices(dt, n_steps)}
-        self._steps = {
-            k: np.stack([s.dist.injection(n, k * dt, dt) for s in scenarios])
-            for k in sorted({0} | onsets)
-        }
+        self.steps = _step_table(scenarios, n, dt, n_steps)
         self._noisy = [
             (b, s.dist.seed, s.dist.noise_eps)
             for b, s in enumerate(scenarios)
@@ -298,14 +305,14 @@ class ScenarioStack:
         """Step plus noise injection of steps 0, 1, ..., each (B, n) and held
         across its step; every call restarts the noise streams from the seeds."""
         gens = [(b, np.random.default_rng(seed), eps) for b, seed, eps in self._noisy]
-        steps, k = self._steps[0], 0
+        steps, k = self.steps[0], 0
         while True:
             block = np.zeros((NOISE_BLOCK, self.B, self.n)) if gens else None
             for b, gen, eps in gens:
                 # one block draw is the same stream as NOISE_BLOCK per-step draws
                 block[:, b] = gen.uniform(-eps, eps, (NOISE_BLOCK, self.n))
             for j in range(NOISE_BLOCK):
-                steps = self._steps.get(k, steps)
+                steps = self.steps.get(k, steps)
                 yield steps if block is None else steps + block[j]
                 k += 1
 

@@ -57,6 +57,7 @@ from .dynamics import (
     Trajectory,
     _integrate,
     _n_steps,
+    _step_table,
 )
 from .netmodel import Network, coi_project, hessian_S
 
@@ -308,20 +309,18 @@ def _terms(net, controller, delta_star, delta, omega, a_hat, target, target_prev
     )
 
 
-def _targets(controller, scenarios, dt: float, n_steps: int) -> dict[int, np.ndarray] | None:
-    """Estimation targets of a battery, (B, n, l), at record 0 and at every
-    onset of any scenario: the true coefficients in the controller's view
-    with the steps active from that record on folded into the constant
-    feature.  None for controllers without estimates."""
+def _targets(controller, scenarios, steps: dict[int, np.ndarray]) -> dict[int, np.ndarray] | None:
+    """Estimation targets of a battery, (B, n, l), at each record of its
+    `_step_table`: the true coefficients in the controller's view with the
+    steps active from that record on folded into the constant feature.
+    None for controllers without estimates."""
     if not isinstance(controller, AdaptiveController):
         return None
     coeffs = controller.select_features(np.stack([s.basis.coeffs for s in scenarios]))
-    n = coeffs.shape[-2]
-    onsets = {k for s in scenarios for k in s.dist.onset_indices(dt, n_steps)}
     out = {}
-    for k in sorted({0} | onsets):
+    for k, injection in steps.items():
         fold = np.array(coeffs)
-        fold[..., -1] += np.stack([s.dist.injection(n, k * dt, dt) for s in scenarios])
+        fold[..., -1] += injection
         out[k] = fold
     return out
 
@@ -348,7 +347,7 @@ def stream_energy(
     stack = ScenarioStack(net, scenarios, dt, n_steps, controller.n_features, delta_star)
     shape = (n_steps + 1, stack.B)
     columns = [np.empty(shape) for _ in range(5)] + [np.empty(shape, dtype=int)]
-    targets = _targets(controller, scenarios, dt, n_steps)
+    targets = _targets(controller, scenarios, stack.steps)
     target = None
 
     def observe(k, delta, omega, a_hat):
@@ -367,7 +366,8 @@ def stream_energy(
 def _trajectory_series(traj, net, scenario, controller, delta_star) -> EnergySeries:
     """The series of one recorded trajectory, its K+1 records taken as one batch."""
     n_steps = traj.n_records - 1
-    targets = _targets(controller, [scenario], traj.dt, n_steps)
+    steps = _step_table([scenario], net.n, traj.dt, n_steps)
+    targets = _targets(controller, [scenario], steps)
     target = prev = None
     if targets is not None:
         keys = sorted(targets)
@@ -461,6 +461,9 @@ def _third_derivative(series: EnergySeries, row: int) -> float:
     return v3
 
 
+MARGIN_SAFETY = 4.0  # default multiple of the stencil-error estimate in the tolerance
+
+
 def _margin_fit(v3s, safety: float) -> MarginFit:
     v3 = max([0.0, *v3s])
     if v3 == 0.0:
@@ -468,11 +471,9 @@ def _margin_fit(v3s, safety: float) -> MarginFit:
     return MarginFit(tol_coeff=float(safety * v3 / 3.0))
 
 
-def series_margin_constant(
-    series: EnergySeries, rows: Sequence[int], *, safety: float = 4.0
-) -> MarginFit:
+def series_margin_constant(series: EnergySeries, rows: Sequence[int]) -> MarginFit:
     """`fit_margin_constant` on the given rows of a series."""
-    return _margin_fit((_third_derivative(series, b) for b in rows), safety)
+    return _margin_fit((_third_derivative(series, b) for b in rows), MARGIN_SAFETY)
 
 
 def fit_margin_constant(
@@ -482,7 +483,7 @@ def fit_margin_constant(
     controller: Controller,
     delta_star: np.ndarray,
     *,
-    safety: float = 4.0,
+    safety: float = MARGIN_SAFETY,
 ) -> MarginFit:
     """Calibrate the decrease-check tolerance from trajectory data.
 
