@@ -215,22 +215,26 @@ class MonotonePWLController(Controller):
     frequency axis into m+1 segments; bus i has segment slopes
     softplus(raw_slopes[i]) >= 0, always strictly positive, so the response
     is nondecreasing with a stabilizing contribution everywhere.  The value
-    is assembled from signed segment overlaps
+    is the sum of signed segment overlaps
 
         u_i(w) = sum_j slope_ij * (clip(w, lo_j, hi_j) - clip(0, lo_j, hi_j)),
 
-    which makes u_i(0) = 0 exact and keeps the evaluation a few vectorized
-    clips, convenient for backpropagation.
+    evaluated through a per-segment table: with r_s = clip(0, lo_s, hi_s),
+    the point of segment s nearest the origin, u_i(w) = U_is +
+    slope_is * (w - r_s) for w in segment s, where U_is = u_i(r_s).  The
+    origin is its own r_s and U is zero there, so u_i(0) = 0 stays exact.
+    The outer segments extend without bound.  Evaluation and the slope VJP
+    are a segment lookup and a scatter-add, never an (..., n, m+1) tensor.
     """
 
     breakpoints: np.ndarray
     raw_slopes: np.ndarray
-    _lo: np.ndarray = field(init=False, repr=False)
-    _hi: np.ndarray = field(init=False, repr=False)
-    _anchor: np.ndarray = field(init=False, repr=False)
+    _ref: np.ndarray = field(init=False, repr=False)
+    _overlap: np.ndarray = field(init=False, repr=False)
     _slopes: np.ndarray = field(init=False, repr=False)
     _dslopes: np.ndarray = field(init=False, repr=False)
-    _bus_idx: np.ndarray = field(init=False, repr=False)
+    _values: np.ndarray = field(init=False, repr=False)
+    _bus_offset: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         bp = np.ascontiguousarray(self.breakpoints, dtype=float)
@@ -243,20 +247,24 @@ class MonotonePWLController(Controller):
             raise ControllerError(
                 "raw_slopes must have shape (n, len(breakpoints) + 1)"
             )
-        big = 1e9
-        lo = np.concatenate(([-big], bp))
-        hi = np.concatenate((bp, [big]))
         for arr in (bp, raw):
             arr.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "raw_slopes", raw)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
-        object.__setattr__(self, "_anchor", np.clip(0.0, lo, hi))
+        lo = np.concatenate(([-np.inf], bp))
+        hi = np.concatenate((bp, [np.inf]))
+        ref = np.clip(0.0, lo, hi)
+        # overlap[s, j]: overlap of [0, ref_s] with segment j (zero for j = s)
+        overlap = np.clip(ref[:, None], lo, hi) - ref
+        slopes = softplus(raw)
+        m1 = bp.size + 1
         for name, arr in (
-            ("_slopes", softplus(raw)),
+            ("_ref", ref),
+            ("_overlap", overlap),
+            ("_slopes", slopes),
             ("_dslopes", sigmoid(raw)),
-            ("_bus_idx", np.arange(raw.shape[0])),
+            ("_values", slopes @ overlap.T),
+            ("_bus_offset", np.arange(0, raw.shape[0] * m1, m1)),
         ):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -277,18 +285,19 @@ class MonotonePWLController(Controller):
     def slopes(self) -> np.ndarray:
         return self._slopes
 
-    def _overlaps(self, omega: np.ndarray) -> np.ndarray:
-        # signed overlap of [0, omega] with each segment; shape (..., n, m+1)
-        w = np.asarray(omega, dtype=float)[..., None]
-        return np.minimum(np.maximum(w, self._lo), self._hi) - self._anchor
+    def _segments(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Segment index of each omega and its flat (bus, segment) table index."""
+        seg = self.breakpoints.searchsorted(omega, side="left")
+        return seg, seg + self._bus_offset
 
     def control(self, omega, phi=None, a_hat=None):
-        return np.einsum("...nj,nj->...n", self._overlaps(omega), self.slopes)
+        omega = np.asarray(omega, dtype=float)
+        seg, flat = self._segments(omega)
+        offset = omega - self._ref.take(seg)
+        return self._values.take(flat) + self._slopes.take(flat) * offset
 
     def control_wrt_omega(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        seg = np.searchsorted(self.breakpoints, omega, side="left")
-        return self._slopes[self._bus_idx, seg]
+        return self._slopes.take(self._segments(np.asarray(omega, dtype=float))[1])
 
     def raw_parameters(self):
         return self.raw_slopes.ravel().copy()
@@ -298,9 +307,18 @@ class MonotonePWLController(Controller):
         return MonotonePWLController(self.breakpoints, raw.reshape(self.raw_slopes.shape))
 
     def control_vjp_raw(self, omega, bar_u):
-        bar = np.asarray(bar_u, dtype=float)[..., None] * self._overlaps(omega)
-        grad = bar.reshape(-1, *self.raw_slopes.shape).sum(axis=0)
-        return (grad * self._dslopes).ravel()
+        # d u_i / d slope_ij = overlap[s, j] + [j = s] * (omega - ref_s)
+        omega = np.asarray(omega, dtype=float)
+        bar = np.asarray(bar_u, dtype=float)
+        if bar.shape != omega.shape:
+            omega, bar = np.broadcast_arrays(omega, bar)
+        seg, flat = self._segments(omega)
+        flat, bar = flat.ravel(), bar.ravel()
+        offset = (omega - self._ref.take(seg)).ravel()
+        size, shape = self._slopes.size, self._slopes.shape
+        total = np.bincount(flat, bar, size).reshape(shape)
+        moment = np.bincount(flat, bar * offset, size).reshape(shape)
+        return ((total.dot(self._overlap) + moment) * self._dslopes).ravel()
 
 
 @dataclass(frozen=True, eq=False)

@@ -490,19 +490,22 @@ def _integrate(
         for name in record
     }
     d, w, a = stack.delta0, stack.omega0, stack.a0
-    for k, p_extra in zip(range(n_steps + 1), stack.injections()):
-        t = k * dt
-        p, view = _forcing(net, controller, stack.basis, t, p_extra)
-        k1 = _derivs(net, controller, d, w, a, p, view)
-        now = {"delta": d, "omega": w, "u": k1[3], "p": p, "a_hat": a}
-        for name, arr in hist.items():
-            arr[k] = now[name]
-        if observe is not None:
-            observe(k, d, w, a)
-        if k == n_steps:
-            break
-        d, w, a = _advance(net, controller, stack.basis, d, w, a, t, dt, p_extra, method, k1)
-        _check_finite(d, w, a, k + 1, t + dt)
+    # overflow on the way to a non-finite state is the divergence itself;
+    # _check_finite reports it once, as IntegrationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, p_extra in zip(range(n_steps + 1), stack.injections()):
+            t = k * dt
+            p, view = _forcing(net, controller, stack.basis, t, p_extra)
+            k1 = _derivs(net, controller, d, w, a, p, view)
+            now = {"delta": d, "omega": w, "u": k1[3], "p": p, "a_hat": a}
+            for name, arr in hist.items():
+                arr[k] = now[name]
+            if observe is not None:
+                observe(k, d, w, a)
+            if k == n_steps:
+                break
+            d, w, a = _advance(net, controller, stack.basis, d, w, a, t, dt, p_extra, method, k1)
+            _check_finite(d, w, a, k + 1, t + dt)
     return hist
 
 

@@ -203,6 +203,11 @@ def load_case(path: str | Path, *, repair_balance: bool = False) -> Network:
         if isinstance(exc, CaseError):
             raise
         raise CaseError(f"malformed case file {path}: {exc!r}") from None
+    if not edges:
+        raise CaseError(
+            f"case file {path} has no lines: every command needs a connected "
+            "network with at least one line"
+        )
     if repair_balance:
         p = coi_project(p)
     return Network(

@@ -12,9 +12,10 @@ cadence the basis signals are defined over); certification and evaluation
 use its RK4 case.  The backward pass walks the same recurrence with
 hand-written vector-Jacobian products for every term: network coupling via
 Hessian-vector products, controller terms via the hooks the controllers
-expose.  It keeps only the angle, frequency and control histories and
-recomputes features and controller terms per step, so memory stays linear
-in the horizon.  The max is handled as a hard max with the subgradient
+expose.  It keeps only the angle, frequency and control histories, so
+memory stays linear in the horizon; it recomputes the features per step and
+takes the controller terms that do not feed the recurrence once per block of
+`ADJOINT_BLOCK` steps.  The max is handled as a hard max with the subgradient
 placed at the earliest maximizing sample; a log-sum-exp softening is
 available behind a flag.
 
@@ -67,6 +68,9 @@ __all__ = [
 ]
 
 SMOOTH_MAX_TEMP = 100.0
+# adjoint steps per control_wrt_omega / control_vjp_raw call; the buffered
+# (32, 25, 39) bar_u is 0.25 MB
+ADJOINT_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,19 +204,22 @@ def _forward(net, controller, scenarios, dt, T, delta_star):
 
 def _loss_terms(omega_h, u_h, cost: CostSpec, dt, smooth_max: bool):
     """Batch-mean loss plus the loss seeds on the omega and u histories."""
-    K1, B, n = omega_h.shape
-    absw = np.abs(omega_h)
+    B = omega_h.shape[1]
     if smooth_max:
+        absw = np.abs(omega_h)
         m = absw.max(axis=0)
         z = np.exp(SMOOTH_MAX_TEMP * (absw - m))
         zsum = z.sum(axis=0)
         peak = m + np.log(zsum) / SMOOTH_MAX_TEMP
         seed_w = np.sign(omega_h) * z / zsum / B
     else:
-        kstar = absw.argmax(axis=0)  # earliest maximizer
-        peak = np.take_along_axis(absw, kstar[None], axis=0)[0]
-        ks = np.arange(K1)[:, None, None]
-        seed_w = (ks == kstar) * np.sign(omega_h) / B
+        # the seed is zero off the earliest maximizer: scatter it there instead
+        # of building dense (K+1, B, n) masks beside the histories
+        kstar = np.abs(omega_h).argmax(axis=0)[None]
+        w_star = np.take_along_axis(omega_h, kstar, axis=0)
+        peak = np.abs(w_star[0])
+        seed_w = np.zeros_like(omega_h)
+        np.put_along_axis(seed_w, kstar, np.sign(w_star) / B, axis=0)
     action = (u_h**2).sum(axis=0) * dt
     loss_b = peak.sum(axis=-1) + cost.gamma * (cost.c * action).sum(axis=-1)
     seed_u = 2.0 * cost.gamma * cost.c * u_h * dt / B
@@ -227,32 +234,36 @@ def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, seed_w, s
     lam_d = np.zeros((stack.B, n))
     lam_w = seed_w[K].copy()
     lam_a = np.zeros((stack.B, n, controller.n_features))
+    bar_u_block = np.empty((min(ADJOINT_BLOCK, K), stack.B, n))
     dt = stack.dt
-    for k in range(K - 1, -1, -1):
-        delta, omega = delta_h[k], omega_h[k]
-        # the zero-mean projection is symmetric and idempotent, so both the
-        # delta->delta and omega->delta branches pull back through it once
-        lam_dp = coi_project(lam_d)
-        g_m = lam_w / net.M
-        bar_u = -dt * g_m + seed_u[k]
-        new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta, g_m)
-        new_lam_w = (
-            lam_w
-            + seed_w[k]
-            + dt * lam_dp
-            - dt * net.D * g_m
-            + bar_u * controller.control_wrt_omega(omega)
-        )
-        grad += controller.control_vjp_raw(omega, bar_u)
-        if adaptive:
-            view = controller.select_features(stack.basis.features(k * dt))
-            g_a, bar_w = controller.adaptation_vjp(omega, view, dt * lam_a)
-            grad += g_a
-            new_lam_w += bar_w
-            lam_a = lam_a + controller.control_vjp_ahat(view, bar_u)
-        lam_d, lam_w = new_lam_d, new_lam_w
-        if not np.isfinite(lam_w).all():
-            raise IntegrationError(f"non-finite adjoint at step {k}")
+    for k1 in range(K, 0, -ADJOINT_BLOCK):
+        k0 = max(k1 - ADJOINT_BLOCK, 0)
+        du_dw = controller.control_wrt_omega(omega_h[k0:k1])
+        for k in range(k1 - 1, k0 - 1, -1):
+            delta, omega = delta_h[k], omega_h[k]
+            # the zero-mean projection is symmetric and idempotent, so both the
+            # delta->delta and omega->delta branches pull back through it once
+            lam_dp = coi_project(lam_d)
+            g_m = lam_w / net.M
+            bar_u = np.add(-dt * g_m, seed_u[k], out=bar_u_block[k - k0])
+            new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta, g_m)
+            new_lam_w = (
+                lam_w
+                + seed_w[k]
+                + dt * lam_dp
+                - dt * net.D * g_m
+                + bar_u * du_dw[k - k0]
+            )
+            if adaptive:
+                view = controller.select_features(stack.basis.features(k * dt))
+                g_a, bar_w = controller.adaptation_vjp(omega, view, dt * lam_a)
+                grad += g_a
+                new_lam_w += bar_w
+                lam_a = lam_a + controller.control_vjp_ahat(view, bar_u)
+            lam_d, lam_w = new_lam_d, new_lam_w
+            if not np.isfinite(lam_w).all():
+                raise IntegrationError(f"non-finite adjoint at step {k}")
+        grad += controller.control_vjp_raw(omega_h[k0:k1], bar_u_block[: k1 - k0])
     return grad
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -392,13 +393,16 @@ class TestCertify:
     def test_diverging_trajectory_is_named(self, tmp_path, capsys):
         path = tmp_path / "negative.json"
         save_controller(LinearController(np.full(2, -300.0)), path)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main([
                 "certify", "--case", "two_bus", "--controller", str(path),
                 "--scenarios", "2", "--calibration", "2", "--samples", "10",
                 "--out", str(tmp_path / "out"),
             ])
         assert rc == 1
+        # the divergence is reported once, as the error below, not as overflow warnings
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert re.search(
             r"error: (calibration trajectory|trajectory) [01] diverged: "
             r"non-finite state at step \d+ \(t=\d+\.\d+\)",
@@ -458,6 +462,17 @@ def test_every_command_checks_thread_cap(command, tmp_path, monkeypatch, capsys)
     assert main(command + ["--out", str(tmp_path)]) == 2
     assert "SWINGFREQ_THREADS" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "evaluate", "certify"])
+def test_case_without_lines_exits_2_naming_it(command, tmp_path, capsys):
+    case = tmp_path / "lonely.json"
+    case.write_text(json.dumps({
+        "version": 1, "buses": [{"id": 1, "M": 1.0, "D": 1.0, "p_star": 0.0}], "lines": [],
+    }))
+    assert main([command, "--case", str(case), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(case) in err and "has no lines" in err
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -134,6 +134,85 @@ class TestMonotonePWL:
             MonotonePWLController(np.array([0.0]), np.zeros((1, 3)))
 
 
+def overlaps_oracle(ctrl, omega):
+    """Signed overlap of [0, omega] with each segment, shape (..., n, m+1).
+
+    The controller's former evaluation: u is this contracted with the slopes,
+    and the slope gradient is bar_u times it.  The +-1e9 outer ends were its
+    sentinels; the segment table extends the outer segments without bound.
+    """
+    lo = np.concatenate(([-1e9], ctrl.breakpoints))
+    hi = np.concatenate((ctrl.breakpoints, [1e9]))
+    w = np.asarray(omega, dtype=float)[..., None]
+    return np.minimum(np.maximum(w, lo), hi) - np.clip(0.0, lo, hi)
+
+
+class TestPWLSegmentTable:
+    """The segment-table evaluation against the overlap formula it replaces."""
+
+    GRIDS = {
+        "default": default_breakpoints(),
+        "no_zero": np.array([-0.7, -0.2, 0.3, 0.8]),
+        "all_positive": np.array([0.2, 0.5, 1.1]),
+        "all_negative": np.array([-0.6, -0.1]),
+    }
+
+    def make(self, grid, n=4, seed=0):
+        bp = self.GRIDS[grid]
+        raw = np.random.default_rng(seed).normal(scale=2.0, size=(n, bp.size + 1))
+        return MonotonePWLController(bp, raw)
+
+    def points(self, ctrl, seed=0):
+        """(P, n) rows holding every breakpoint, 0 and points beyond the outer
+        breakpoints (each bus in its own order), then random (K, B, n) draws."""
+        bp = ctrl.breakpoints
+        fixed = np.concatenate((bp, [0.0, bp[0] - 0.3, bp[-1] + 0.3, -40.0, 40.0]))
+        rng = np.random.default_rng(seed)
+        exact = np.stack([rng.permutation(fixed) for _ in range(ctrl.n)], axis=-1)
+        return exact, rng.uniform(-2.0, 2.0, (5, 3, ctrl.n))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_control_matches_overlaps(self, grid):
+        ctrl = self.make(grid)
+        for w in self.points(ctrl):
+            oracle = np.einsum("...nj,nj->...n", overlaps_oracle(ctrl, w), ctrl.slopes)
+            np.testing.assert_allclose(ctrl.control(w), oracle, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_derivative_matches_overlaps(self, grid):
+        # d overlap_j / d omega is 1 on (lo_j, hi_j]: the left derivative
+        ctrl = self.make(grid)
+        lo = np.concatenate(([-np.inf], ctrl.breakpoints))
+        hi = np.concatenate((ctrl.breakpoints, [np.inf]))
+        for w in self.points(ctrl):
+            inside = (w[..., None] > lo) & (w[..., None] <= hi)
+            oracle = np.einsum("...nj,nj->...n", inside.astype(float), ctrl.slopes)
+            np.testing.assert_allclose(
+                ctrl.control_wrt_omega(w), oracle, rtol=1e-12, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_vjp_matches_overlaps(self, grid):
+        ctrl = self.make(grid)
+        rng = np.random.default_rng(5)
+        dslopes = 1.0 / (1.0 + np.exp(-ctrl.raw_slopes))
+        for w in self.points(ctrl):
+            for bar_u in (rng.normal(size=w.shape), rng.normal(size=ctrl.n)):
+                bar = np.broadcast_to(bar_u, w.shape)[..., None] * overlaps_oracle(ctrl, w)
+                oracle = (bar.reshape(-1, *ctrl.raw_slopes.shape).sum(0) * dslopes).ravel()
+                np.testing.assert_allclose(
+                    ctrl.control_vjp_raw(w, bar_u), oracle, rtol=1e-12, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_origin_exact(self, grid):
+        for seed in range(10):
+            ctrl = self.make(grid, seed=seed)
+            zero = np.zeros((2, 3, ctrl.n))
+            assert np.all(ctrl.control(zero) == 0.0)
+            assert np.all(ctrl.control_vjp_raw(zero, np.ones(ctrl.n)) == 0.0)
+
+
 class TestAdaptive:
     def base(self, n=1):
         return DroopController.initial(n, gain=1.0)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ class TestLoadCase:
         np.testing.assert_array_equal(net.M, [1.0, 1.0])
         np.testing.assert_array_equal(net.p_star, [0.5, -0.5])
         np.testing.assert_array_equal(net.incidence, [[1.0, -1.0]])
+
+    def test_case_without_lines_rejected(self, tmp_path):
+        doc = simple_case(
+            buses=[{"id": 1, "M": 1.0, "D": 1.0, "p_star": 0.0}], lines=[]
+        )
+        path = write_case(tmp_path, doc)
+        with pytest.raises(CaseError, match=rf"{re.escape(str(path))} has no lines"):
+            load_case(path)
 
     def test_negative_susceptance_rejected(self, tmp_path):
         doc = simple_case(lines=[{"from": 1, "to": 2, "B": -1.0}])

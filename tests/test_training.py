@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swingfreq import training
 from swingfreq.controllers import (
     AdaptiveController,
     DroopController,
@@ -16,6 +17,7 @@ from swingfreq.dynamics import (
     rollout,
     rollout_batch,
 )
+from swingfreq.netmodel import coi_project, hess_S_vecprod
 from swingfreq.training import (
     AdamState,
     CostSpec,
@@ -182,7 +184,57 @@ class TestBatchEngine:
             batch_loss(two_bus, DroopController.initial(2), [s1, s2], cost)
 
 
+def per_step_grad(net, controller, scenarios, cost, dt):
+    """Reference adjoint: every controller term taken at its own step."""
+    stack, delta_h, omega_h, u_h = training._forward(
+        net, controller, scenarios, dt, cost.T, None
+    )
+    _, seed_w, seed_u = training._loss_terms(omega_h, u_h, cost, dt, False)
+    adaptive = isinstance(controller, AdaptiveController)
+    grad = np.zeros(controller.raw_parameters().size)
+    lam_d = np.zeros((stack.B, net.n))
+    lam_w = seed_w[-1].copy()
+    lam_a = np.zeros((stack.B, net.n, controller.n_features))
+    for k in range(stack.n_steps - 1, -1, -1):
+        omega = omega_h[k]
+        lam_dp = coi_project(lam_d)
+        g_m = lam_w / net.M
+        bar_u = -dt * g_m + seed_u[k]
+        new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta_h[k], g_m)
+        new_lam_w = (lam_w + seed_w[k] + dt * lam_dp - dt * net.D * g_m
+                     + bar_u * controller.control_wrt_omega(omega))
+        grad += controller.control_vjp_raw(omega, bar_u)
+        if adaptive:
+            view = controller.select_features(stack.basis.features(k * dt))
+            g_a, bar_w = controller.adaptation_vjp(omega, view, dt * lam_a)
+            grad += g_a
+            new_lam_w += bar_w
+            lam_a = lam_a + controller.control_vjp_ahat(view, bar_u)
+        lam_d, lam_w = new_lam_d, new_lam_w
+    return grad
+
+
 class TestGradients:
+    @pytest.mark.parametrize("kind", ["droop", "pwl", "integral", "adaptive"])
+    def test_blocked_adjoint_matches_per_step_sweep(self, kind, ne39):
+        # 37 steps: one full block of controller terms and a partial one
+        cost = CostSpec(gamma=0.1, c=make_cost_spec(ne39, 2).c, T=0.37)
+        assert round(cost.T / 0.01) % training.ADJOINT_BLOCK != 0
+        scens = make_scenarios(ne39, 3, 8, mag_cap=3.0)
+        rng = np.random.default_rng(4)
+        pwl = MonotonePWLController.initial(ne39.n, slope=2.0)
+        pwl = pwl.with_raw_parameters(pwl.raw_parameters() + rng.normal(size=pwl.raw_slopes.size))
+        ctrl = {
+            "droop": DroopController.initial(ne39.n),
+            "pwl": pwl,
+            "integral": AdaptiveController.initial(pwl, 1, feature_mode="constant"),
+            "adaptive": AdaptiveController.initial(pwl, 3),
+        }[kind]
+        _, got = grad_loss(ne39, ctrl, scens, cost)
+        ref = per_step_grad(ne39, ctrl, scens, cost, 0.01)
+        assert np.abs(ref).max() > 0
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
     def test_droop_gradient_sign(self, two_bus):
         # a little more damping always helps on a pure step at small gain
         cost = CostSpec(gamma=0.1, c=np.full(2, 0.05), T=4.0)
