@@ -1,19 +1,19 @@
 """Command line interface: simulate, train, evaluate, certify.
 
-Exit codes: 0 on success, 2 for input errors (bad case file, malformed
-controller, mismatched dimensions, bad flags), 3 when training diverges,
-4 when certification is refused or the certificate fails.
+Exit codes: 0 on success, 1 when an integration diverges, 2 for input errors
+(bad case or controller file, mismatched dimensions, bad flags), 3 when
+training diverges, 4 when certification is refused or the certificate fails.
 
 `--case` takes a bundled case name ("ne39", "two_bus") or a path to a case
 JSON; `--controller` takes a fresh controller type (droop, pwl, integral,
-adaptive) or a path to a saved controller; `--checkpoint` points at a
-training checkpoint.  All randomness is keyed by `--seed`, and output files
-are byte-identical across reruns with the same arguments.  `evaluate`
-integrates each controller's whole scenario battery as one batch on one
-thread; `certify` integrates its calibration and battery scenarios as one
-batch and streams their energy terms instead of keeping state histories.
-The SWINGFREQ_THREADS environment variable, when set, must be a
-positive integer; no result depends on its value.
+adaptive) or a path, and `--checkpoint` a path; one reader takes either
+path, a bare controller or a whole training checkpoint.  A resumed config
+obeys the rules of the flags that set it.  All randomness is keyed by
+`--seed`; output files are byte-identical across reruns with the same
+arguments.  `evaluate` integrates each controller's battery as one batch;
+`certify` integrates calibration and battery as one batch and streams their
+energy terms.  SWINGFREQ_THREADS, when set, must be a positive integer; no
+result depends on its value.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .controllers import (
     SaturatedController,
     controller_from_dict,
     controller_to_dict,
-    load_controller,
 )
 from .dynamics import (
     BasisSignal,
@@ -124,7 +123,7 @@ def _load_checkpoint(path: str | Path):
     try:
         doc = json.loads(p.read_text())
     except FileNotFoundError:
-        raise ControllerError(f"checkpoint not found: {p}") from None
+        raise ControllerError(f"controller file not found: {p}") from None
     except json.JSONDecodeError as exc:
         raise ControllerError(f"malformed checkpoint {p}: {exc}") from None
     if not isinstance(doc, dict):
@@ -153,10 +152,15 @@ def _missing_key(path, part: str, exc: KeyError) -> ControllerError:
     return ControllerError(f"malformed checkpoint {path}: {part} lacks key {exc}")
 
 
+def _from_file(path: str) -> tuple[str, Controller]:
+    """Label and controller of a bare controller file or a checkpoint."""
+    return Path(path).stem, _load_checkpoint(path)[0]
+
+
 def _controller_spec(spec: str, net: Network) -> tuple[str, Controller]:
     """Label and controller for a fresh controller type or a controller file."""
     if Path(spec).suffix == ".json" or Path(spec).exists():
-        return Path(spec).stem, load_controller(spec)
+        return _from_file(spec)
     return spec, _fresh_controller(spec, net.n)
 
 
@@ -169,10 +173,8 @@ def _sized(ctrl: Controller, net: Network, label: str = "") -> Controller:
 
 
 def _resolve_controller(args, net: Network) -> tuple[Controller, str]:
-    if getattr(args, "checkpoint", None):
-        label, ctrl = Path(args.checkpoint).stem, _load_checkpoint(args.checkpoint)[0]
-    else:
-        label, ctrl = _controller_spec(args.controller, net)
+    ckpt = args.checkpoint
+    label, ctrl = _from_file(ckpt) if ckpt else _controller_spec(args.controller, net)
     if getattr(args, "saturate", None) is not None:
         ctrl = SaturatedController(ctrl, args.saturate)
     return _sized(ctrl, net), label
@@ -218,14 +220,13 @@ def cmd_simulate(args) -> int:
     if args.no_disturbance:
         basis = BasisSignal(basis.eta, np.zeros_like(basis.coeffs), basis.dt_ref)
         dist = None
-    method = "euler" if args.euler else "rk4"
     traj = rollout(
-        net, ctrl, basis, dist, horizon=args.horizon, dt=args.dt, method=method
+        net, ctrl, basis, dist, horizon=args.horizon, dt=args.dt, method=args.method
     )
     out = _out_dir(args)
     traj.write_csv(out / "trajectory.csv")
     traj.write_meta(out / "trajectory.json")
-    print(f"case {args.case}: {net.n} buses, controller {label}, {method}")
+    print(f"case {args.case}: {net.n} buses, controller {label}, {args.method}")
     print(f"wrote {out / 'trajectory.csv'} ({traj.n_records} records)")
     # a run that ends before its steps switch on is summarised whole
     stepped = dist is not None and dist.onset_indices(args.dt, traj.n_records - 1)
@@ -246,9 +247,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     net = _resolve_case(args)
-    adam = None
-    start = 0
-    losses_prev: list[float] = []
+    adam, losses_prev = None, []
     if args.checkpoint:
         ctrl, adam, cfg, losses_prev = _load_checkpoint(args.checkpoint)
         if cfg is None:
@@ -260,34 +259,29 @@ def cmd_train(args) -> int:
                 f"checkpoint was trained on case {cfg.get('case')!r}, not {args.case!r}"
             )
         _sized(ctrl, net)
-        conf = {"noise": 0.0, **cfg}  # a config without noise trains noise-free
+        cfg = {"noise": 0.0, **cfg}  # a config without noise trains noise-free
         try:
             cost = CostSpec(
                 cfg["cost"]["gamma"], np.array(cfg["cost"]["c"]), cfg["cost"]["T"]
             )
-            for key, (ok, what) in CONFIG_CHECKS.items():
-                if not ok(conf[key]):
-                    raise ControllerError(
-                        f"malformed checkpoint {args.checkpoint}: config key '{key}' "
-                        f"must be {what}, got {conf[key]!r}"
-                    )
+            conf = {key: cfg[key] for key in CONFIG_CHECKS}
         except KeyError as exc:
             raise _missing_key(args.checkpoint, "config", exc) from None
-        seed, n_scen, batch_size, start, lr, dt, noise, smooth = (
-            conf[k] for k in (
-                "seed", "n_scenarios", "batch_size", "epochs_done",
-                "lr", "dt", "noise", "smooth_max",
-            )
-        )
+        for key, (ok, what) in CONFIG_CHECKS.items():
+            if not ok(conf[key]):
+                raise ControllerError(
+                    f"malformed checkpoint {args.checkpoint}: config key '{key}' "
+                    f"must be {what}, got {conf[key]!r}"
+                )
         ctype = cfg.get("controller_type", type(ctrl).__name__)
     else:
         ctrl, ctype = _resolve_controller(args, net)
-        seed, n_scen, batch_size, lr, dt, smooth, noise = (
-            args.seed, args.scenarios, args.batch_size, args.lr, args.dt,
-            args.smooth_max, args.noise,
-        )
-        cost = make_cost_spec(net, seed)
-    scenarios = make_scenarios(net, n_scen, seed, noise_eps=noise, onset=0.0)
+        conf = {key: getattr(args, key) for key in CONFIG_CHECKS}
+        cost = make_cost_spec(net, conf["seed"])
+    start = conf["epochs_done"]
+    scenarios = make_scenarios(
+        net, conf["n_scenarios"], conf["seed"], noise_eps=conf["noise"], onset=0.0
+    )
 
     def progress(epoch: int, loss: float) -> None:
         if (epoch + 1) % args.log_every == 0 or epoch == start:
@@ -295,8 +289,9 @@ def cmd_train(args) -> int:
 
     report = train(
         net, ctrl, scenarios, cost,
-        epochs=args.epochs, batch_size=batch_size, lr=lr, seed=seed, dt=dt,
-        smooth_max=smooth, optimizer=adam, start_epoch=start,
+        epochs=args.epochs, batch_size=conf["batch_size"], lr=conf["lr"],
+        seed=conf["seed"], dt=conf["dt"], smooth_max=conf["smooth_max"],
+        optimizer=adam, start_epoch=start,
         anchor_loss=losses_prev[0] if losses_prev else None, callback=progress,
     )
     epochs_done = start + len(report.losses)
@@ -306,16 +301,10 @@ def cmd_train(args) -> int:
         "optimizer": report.optimizer.to_dict(),
         "losses": losses_prev + list(report.losses),
         "config": {
+            **conf,
             "case": args.case,
             "controller_type": ctype,
-            "seed": seed,
-            "n_scenarios": n_scen,
             "epochs_done": epochs_done,
-            "batch_size": batch_size,
-            "lr": lr,
-            "dt": dt,
-            "smooth_max": smooth,
-            "noise": noise,
             "cost": {"gamma": cost.gamma, "c": cost.c.tolist(), "T": cost.T},
         },
     }
@@ -350,7 +339,7 @@ def cmd_evaluate(args) -> int:
             f"{EVAL_ONSET:g} s onset; pass --horizon >= "
             f"{EVAL_ONSET + RESTORE_WINDOW[1]:g}"
         )
-    entries = [(Path(p).stem, _load_checkpoint(p)[0]) for p in args.checkpoint or []]
+    entries = [_from_file(p) for p in args.checkpoint or []]
     entries += [_controller_spec(spec, net) for spec in args.controller or []]
     if not entries:
         raise ValueError("nothing to evaluate: pass --checkpoint and/or --controller")
@@ -364,8 +353,8 @@ def cmd_evaluate(args) -> int:
     scenarios = make_scenarios(
         net, args.scenarios, args.seed, noise_eps=args.noise, onset=EVAL_ONSET
     )
+    hashes = [_scenario_hash(s) for s in scenarios]
     cost = make_cost_spec(net, args.seed)
-    method = "euler" if args.euler else "rk4"
     delta_star = solve_equilibrium(net)
 
     # one batch per controller over the whole battery, in scenario order, and
@@ -374,16 +363,22 @@ def cmd_evaluate(args) -> int:
     cols = ("transient_loss", "restoration", "nadir", "peak_u")
     rows, summary = [], {}
     for label, ctrl in labeled:
-        trajs = rollout_batch(
-            net, ctrl, scenarios, horizon=args.horizon, dt=args.dt, method=method,
-            delta_star=delta_star, record=("omega", "u"),
-        )
+        try:
+            trajs = rollout_batch(
+                net, ctrl, scenarios, horizon=args.horizon, dt=args.dt,
+                method=args.method, delta_star=delta_star, record=("omega", "u"),
+            )
+        except IntegrationError as exc:
+            raise IntegrationError(
+                f"controller {label!r} diverged in scenario {exc.row} ({hashes[exc.row]}): "
+                f"non-finite state at step {exc.step} (t={exc.t:.6g})"
+            ) from None
         mine = []
-        for scen, traj in zip(scenarios, trajs):
+        for scen_hash, traj in zip(hashes, trajs):
             tail = traj.tail(EVAL_ONSET)
             mine.append({
                 "controller": label,
-                "scenario_hash": _scenario_hash(scen),
+                "scenario_hash": scen_hash,
                 "nadir": float(np.abs(tail.omega).max()),
                 "restoration": restoration_cost(tail, RESTORE_WINDOW),
                 "transient_loss": transient_loss(tail, cost),
@@ -398,9 +393,7 @@ def cmd_evaluate(args) -> int:
                 float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
             )
         summary[label] = stats
-    set_hash = hashlib.sha256(
-        "".join(_scenario_hash(s) for s in scenarios).encode()
-    ).hexdigest()[:12]
+    set_hash = hashlib.sha256("".join(hashes).encode()).hexdigest()[:12]
 
     out = _out_dir(args)
     header = ["controller", "scenario_hash", "n_scenarios"]
@@ -419,7 +412,7 @@ def cmd_evaluate(args) -> int:
             "horizon": args.horizon,
             "dt": args.dt,
             "noise": args.noise,
-            "method": method,
+            "method": args.method,
             "scenario_set_hash": set_hash,
             "rows": rows,
             "summary": summary,
@@ -574,7 +567,11 @@ def cmd_certify(args) -> int:
 
 
 def _checked(kind, ok, what: str):
-    """An argparse type: parse with `kind`, reject values failing `ok`."""
+    """An argparse type: parse with `kind`, reject values failing `ok`.
+
+    `parse.rule` is the same check on a JSON value, as (check, what): an int,
+    or for a float kind an int or a float, and never a bool.
+    """
 
     def parse(text: str):
         value = kind(text)
@@ -583,39 +580,29 @@ def _checked(kind, ok, what: str):
         return value
 
     parse.__name__ = kind.__name__
+    parse.rule = (
+        lambda x: isinstance(x, (int, kind)) and not isinstance(x, bool) and ok(x), what
+    )
     return parse
 
 
-def _finite_positive(x) -> bool:
-    return 0 < x < np.inf
-
-
-POSITIVE = _checked(float, _finite_positive, "a finite positive number")
+INTEGER = _checked(int, lambda x: True, "an integer")
+POSITIVE = _checked(float, lambda x: 0 < x < np.inf, "a finite positive number")
 NONNEGATIVE = _checked(float, lambda x: 0 <= x < np.inf, "a finite nonnegative number")
 COUNT = _checked(int, lambda x: x > 0, "a positive integer")
 NONNEG_COUNT = _checked(int, lambda x: x >= 0, "a nonnegative integer")
 MARGIN = _checked(float, lambda x: 0 < x < np.pi / 2, "strictly between 0 and pi/2")
 
-
-def _integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-# what a resumed checkpoint's config may hold, as (check, description)
-_COUNT_CHECK = (lambda x: _integer(x) and x >= 1, "a positive integer")
-_STEP_CHECK = (lambda x: _real(x) and _finite_positive(x), "a finite positive number")
+# a training run's config, each key held to the rule of the flag that sets it;
+# a resumed checkpoint's config must pass the same rules
 CONFIG_CHECKS = {
-    "seed": (_integer, "an integer"),
-    "n_scenarios": _COUNT_CHECK,
-    "batch_size": _COUNT_CHECK,
-    "epochs_done": (lambda x: _integer(x) and x >= 0, "a nonnegative integer"),
-    "lr": _STEP_CHECK,
-    "dt": _STEP_CHECK,
-    "noise": (lambda x: _real(x) and 0 <= x < np.inf, "a finite nonnegative number"),
+    "seed": INTEGER.rule,
+    "n_scenarios": COUNT.rule,
+    "batch_size": COUNT.rule,
+    "epochs_done": NONNEG_COUNT.rule,
+    "lr": POSITIVE.rule,
+    "dt": POSITIVE.rule,
+    "noise": NONNEGATIVE.rule,
     "smooth_max": (lambda x: isinstance(x, bool), "true or false"),
 }
 
@@ -628,6 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags with one meaning and one default in every command that takes them;
+    # parents share their actions, so no subparser may set_defaults on these
     case = argparse.ArgumentParser(add_help=False)
     case.add_argument(
         "--case", default="ne39",
@@ -637,6 +626,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--repair-balance", action="store_true",
         help="subtract the mean setpoint from every bus instead of failing on imbalance",
     )
+    case.add_argument("--seed", type=INTEGER, default=0)
+    case.add_argument("--out", default=".", help="output directory")
+
+    noise = argparse.ArgumentParser(add_help=False)
+    noise.add_argument("--noise", type=NONNEGATIVE, default=0.0, metavar="EPS",
+                       help="uniform injection noise amplitude")
+
+    method = argparse.ArgumentParser(add_help=False)
+    g = method.add_mutually_exclusive_group()
+    g.add_argument("--euler", dest="method", action="store_const", const="euler",
+                   help="integrate with explicit Euler")
+    g.add_argument("--rk4", dest="method", action="store_const", const="rk4",
+                   help="integrate with RK4 (default)")
+    method.set_defaults(method="rk4")
 
     single = argparse.ArgumentParser(add_help=False)
     single.add_argument(
@@ -650,24 +653,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "simulate", parents=[case, single],
+        "simulate", parents=[case, single, noise, method],
         help="roll one disturbance scenario and write the trajectory",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dt", type=POSITIVE, default=0.01)
     p.add_argument("--horizon", type=POSITIVE, default=15.0, help="simulated seconds")
-    p.add_argument("--noise", type=NONNEGATIVE, default=0.0, metavar="EPS",
-                   help="uniform injection noise amplitude")
     p.add_argument("--no-disturbance", action="store_true",
                    help="zero the injection variation (equilibrium run)")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--euler", action="store_true", help="integrate with explicit Euler")
-    g.add_argument("--rk4", action="store_true", help="integrate with RK4 (default)")
-    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
-        "train", parents=[case],
+        "train", parents=[case, noise],
         help="train a controller on random disturbance scenarios",
     )
     p.add_argument(
@@ -675,21 +671,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="fresh controller type (droop, pwl, integral, adaptive) or a JSON path",
     )
     p.add_argument("--checkpoint", help="resume training from this checkpoint")
-    p.add_argument("--scenarios", type=COUNT, default=50)
+    p.add_argument("--scenarios", dest="n_scenarios", metavar="SCENARIOS",
+                   type=COUNT, default=50)
     p.add_argument("--epochs", type=NONNEG_COUNT, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=POSITIVE, default=1e-3)
     p.add_argument("--batch-size", type=COUNT, default=25)
     p.add_argument("--dt", type=POSITIVE, default=0.01)
-    p.add_argument("--noise", type=NONNEGATIVE, default=0.0, metavar="EPS")
     p.add_argument("--smooth-max", action="store_true",
                    help="log-sum-exp softening of the peak-deviation term")
     p.add_argument("--log-every", type=COUNT, default=10)
-    p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_train)
+    # a fresh run's config (CONFIG_CHECKS) starts at epoch 0
+    p.set_defaults(func=cmd_train, epochs_done=0)
 
     p = sub.add_parser(
-        "evaluate", parents=[case],
+        "evaluate", parents=[case, noise, method],
         help="compare controllers on a shared scenario battery",
     )
     p.add_argument("--checkpoint", action="append",
@@ -697,15 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--controller", action="append",
                    help="fresh controller type or JSON path to evaluate (repeatable)")
     p.add_argument("--scenarios", type=COUNT, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dt", type=POSITIVE, default=0.01)
     p.add_argument("--horizon", type=POSITIVE, default=17.0,
                    help="simulated seconds (needs onset + 15)")
-    p.add_argument("--noise", type=NONNEGATIVE, default=0.0, metavar="EPS")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--euler", action="store_true")
-    g.add_argument("--rk4", action="store_true")
-    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
@@ -715,14 +704,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", type=COUNT, default=20)
     p.add_argument("--calibration", type=COUNT, default=5,
                    help="extra scenarios used only to fit the tolerance")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dt", type=POSITIVE, default=0.005)
     p.add_argument("--horizon", type=POSITIVE, default=6.0)
     p.add_argument("--margin", type=MARGIN, default=0.01,
                    help="angle margin to pi/2 defining the certified region")
     p.add_argument("--samples", type=COUNT, default=2000,
                    help="region samples for the cross-check bounds")
-    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_certify)
     return parser
 

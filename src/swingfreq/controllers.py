@@ -81,6 +81,20 @@ def default_breakpoints(m: int = 19, width: float = 1.0) -> np.ndarray:
     return np.linspace(-width, width, m + 2)[1:-1].copy()
 
 
+def _require_finite(**params: np.ndarray) -> None:
+    for name, arr in params.items():
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            raise ControllerError(f"{name} must be finite, found {bad[0]}")
+
+
+def _freeze(obj, **arrays: np.ndarray) -> None:
+    """Set read-only array fields on a frozen dataclass instance."""
+    for name, arr in arrays.items():
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # same result as (a * b).sum(-1): ufunc reduction is sequential below
     # 8 lanes, and the unrolled form skips the short-axis iterator overhead
@@ -164,11 +178,8 @@ class DroopController(Controller):
         raw = np.ascontiguousarray(self.raw_gain, dtype=float)
         if raw.ndim != 1 or raw.size == 0:
             raise ControllerError("raw_gain must be a non-empty 1-d array")
-        raw.flags.writeable = False
-        object.__setattr__(self, "raw_gain", raw)
-        for name, arr in (("_gains", softplus(raw)), ("_dgains", sigmoid(raw))):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _require_finite(raw_gain=raw)
+        _freeze(self, raw_gain=raw, _gains=softplus(raw), _dgains=sigmoid(raw))
 
     @classmethod
     def from_gains(cls, gains: np.ndarray) -> "DroopController":
@@ -241,16 +252,13 @@ class MonotonePWLController(Controller):
         raw = np.ascontiguousarray(self.raw_slopes, dtype=float)
         if bp.ndim != 1 or bp.size == 0:
             raise ControllerError("breakpoints must be a non-empty 1-d array")
+        _require_finite(breakpoints=bp, raw_slopes=raw)
         if np.any(np.diff(bp) <= 0):
             raise ControllerError("breakpoints must be strictly increasing")
         if raw.ndim != 2 or raw.shape[1] != bp.size + 1:
             raise ControllerError(
                 "raw_slopes must have shape (n, len(breakpoints) + 1)"
             )
-        for arr in (bp, raw):
-            arr.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "raw_slopes", raw)
         lo = np.concatenate(([-np.inf], bp))
         hi = np.concatenate((bp, [np.inf]))
         ref = np.clip(0.0, lo, hi)
@@ -258,16 +266,11 @@ class MonotonePWLController(Controller):
         overlap = np.clip(ref[:, None], lo, hi) - ref
         slopes = softplus(raw)
         m1 = bp.size + 1
-        for name, arr in (
-            ("_ref", ref),
-            ("_overlap", overlap),
-            ("_slopes", slopes),
-            ("_dslopes", sigmoid(raw)),
-            ("_values", slopes @ overlap.T),
-            ("_bus_offset", np.arange(0, raw.shape[0] * m1, m1)),
-        ):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(
+            self, breakpoints=bp, raw_slopes=raw, _ref=ref, _overlap=overlap,
+            _slopes=slopes, _dslopes=sigmoid(raw), _values=slopes @ overlap.T,
+            _bus_offset=np.arange(0, raw.shape[0] * m1, m1),
+        )
 
     @classmethod
     def initial(
@@ -336,8 +339,8 @@ class LinearController(Controller):
         g = np.ascontiguousarray(self.gain, dtype=float)
         if g.ndim != 1 or g.size == 0:
             raise ControllerError("gain must be a non-empty 1-d array")
-        g.flags.writeable = False
-        object.__setattr__(self, "gain", g)
+        _require_finite(gain=g)
+        _freeze(self, gain=g)
 
     @property
     def n(self) -> int:  # type: ignore[override]
@@ -384,18 +387,12 @@ class AdaptiveController(Controller):
         raw = np.ascontiguousarray(self.raw_rate, dtype=float)
         if raw.ndim != 2 or raw.shape[0] != self.base.n or raw.shape[1] < 1:
             raise ControllerError("raw_rate must have shape (n_buses, n_features)")
+        _require_finite(raw_rate=raw)
         if self.feature_mode not in ("basis", "constant"):
             raise ControllerError(f"unknown feature_mode {self.feature_mode!r}")
         if self.feature_mode == "constant" and raw.shape[1] != 1:
             raise ControllerError("constant feature mode implies a single feature")
-        raw.flags.writeable = False
-        object.__setattr__(self, "raw_rate", raw)
-        for name, arr in (
-            ("_rates", RATE_FLOOR + softplus(raw)),
-            ("_drates", sigmoid(raw)),
-        ):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, raw_rate=raw, _rates=RATE_FLOOR + softplus(raw), _drates=sigmoid(raw))
         object.__setattr__(self, "_n_base_raw", self.base.raw_parameters().size)
 
     @classmethod
@@ -469,10 +466,19 @@ class AdaptiveController(Controller):
         omega = np.asarray(omega, dtype=float)
         return omega[..., None] * self.rates * np.asarray(phi, dtype=float)
 
+    @property
+    def rate_block(self) -> slice:
+        """Where the raw rates sit in the raw parameter vector (after the base's)."""
+        return slice(self._n_base_raw, None)
+
     def adaptation_vjp(
         self, omega: np.ndarray, phi: np.ndarray, bar_da: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """VJP of `adaptation`: returns (raw-length gradient, bar_omega)."""
+        """VJP of `adaptation`: returns (gradient of the `rate_block`, bar_omega).
+
+        Adaptation does not depend on the base parameters, so only the rate
+        block of the raw gradient is returned, in the flat raw_rate order.
+        """
         omega = np.asarray(omega, dtype=float)
         phi = np.asarray(phi, dtype=float)
         bar_da = np.asarray(bar_da, dtype=float)
@@ -480,9 +486,7 @@ class AdaptiveController(Controller):
         bar_rate = (bar_da * omega[..., None] * phi).reshape(
             -1, *self.raw_rate.shape
         ).sum(axis=0)
-        grad = np.zeros(self._n_base_raw + self.raw_rate.size)
-        grad[self._n_base_raw :] = (bar_rate * self._drates).ravel()
-        return grad, bar_omega
+        return (bar_rate * self._drates).ravel(), bar_omega
 
     def control_vjp_ahat(self, phi: np.ndarray, bar_u: np.ndarray) -> np.ndarray:
         return np.asarray(bar_u, dtype=float)[..., None] * np.asarray(phi, dtype=float)
@@ -613,9 +617,8 @@ def save_controller(ctrl: Controller, path: str | Path) -> None:
 def load_controller(path: str | Path) -> Controller:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        return controller_from_dict(json.loads(path.read_text()))
     except FileNotFoundError:
         raise ControllerError(f"controller file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, ControllerError) as exc:
         raise ControllerError(f"malformed controller file {path}: {exc}") from None
-    return controller_from_dict(doc)

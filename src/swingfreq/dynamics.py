@@ -399,8 +399,10 @@ def step(
         if dist.noise_eps > 0 and rng is not None:
             p_extra = p_extra + rng.uniform(-dist.noise_eps, dist.noise_eps, net.n)
     d, w, a = state.delta, state.omega, state.a_hat
-    k1 = _derivs(net, controller, d, w, a, *_forcing(net, controller, basis, t, p_extra))
-    d, w, a = _advance(net, controller, basis, d, w, a, t, dt, p_extra, method, k1)
+    # as in _integrate: overflow is the divergence, reported once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = _derivs(net, controller, d, w, a, *_forcing(net, controller, basis, t, p_extra))
+        d, w, a = _advance(net, controller, basis, d, w, a, t, dt, p_extra, method, k1)
     _check_finite(d, w, a, round(t / dt) + 1, t + dt)
     return SystemState(d, w, a)
 

@@ -231,6 +231,8 @@ def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, seed_w, s
     K, n = stack.n_steps, stack.n
     adaptive = isinstance(controller, AdaptiveController)
     grad = np.zeros(controller.raw_parameters().size)
+    # the adaptation VJP feeds the rate block only; accumulate it in place
+    grad_rate = grad[controller.rate_block] if adaptive else None
     lam_d = np.zeros((stack.B, n))
     lam_w = seed_w[K].copy()
     lam_a = np.zeros((stack.B, n, controller.n_features))
@@ -257,7 +259,7 @@ def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, seed_w, s
             if adaptive:
                 view = controller.select_features(stack.basis.features(k * dt))
                 g_a, bar_w = controller.adaptation_vjp(omega, view, dt * lam_a)
-                grad += g_a
+                grad_rate += g_a
                 new_lam_w += bar_w
                 lam_a = lam_a + controller.control_vjp_ahat(view, bar_u)
             lam_d, lam_w = new_lam_d, new_lam_w

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from swingfreq.cli import main
+from swingfreq.cli import build_parser, main
 from swingfreq.controllers import LinearController, save_controller
 
 
@@ -496,3 +496,79 @@ def test_bad_numeric_flag_exits_2_naming_it(command, flag, value, tmp_path, caps
         main([command, "--case", "two_bus", flag, value, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+class TestSharedInputs:
+    def test_dt_defaults_stay_per_command(self):
+        # parents share their actions, so a set_defaults on one subparser would
+        # leak into the others; each command keeps its own --dt default
+        parser = build_parser()
+        got = {cmd: parser.parse_args([cmd]).dt
+               for cmd in ("simulate", "train", "evaluate", "certify")}
+        assert got == {"simulate": 0.01, "train": 0.01, "evaluate": 0.01, "certify": 0.005}
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "evaluate", "certify"])
+    def test_every_command_takes_seed_and_out(self, command):
+        args = build_parser().parse_args([command, "--seed", "7", "--out", "there"])
+        assert (args.seed, args.out) == (7, "there")
+
+    @pytest.mark.parametrize("flag, method", [(None, "rk4"), ("--rk4", "rk4"), ("--euler", "euler")])
+    def test_method_flags(self, flag, method, tmp_path):
+        extra = [flag] if flag else []
+        assert main(["simulate", "--case", "two_bus", "--horizon", "1", *extra,
+                     "--out", str(tmp_path / "sim")]) == 0
+        meta = json.loads((tmp_path / "sim" / "trajectory.json").read_text())
+        assert meta["method"] == method
+        assert main(["evaluate", "--case", "two_bus", "--controller", "droop",
+                     "--scenarios", "1", *extra, "--out", str(tmp_path / "eval")]) == 0
+        doc = json.loads((tmp_path / "eval" / "comparison.json").read_text())
+        assert doc["method"] == method
+
+    def test_euler_and_rk4_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--euler", "--rk4"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_checkpoint_works_as_controller_file(self, tmp_path):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        ckpt = str(tmp_path / "checkpoint.json")
+        for flag in ("--controller", "--checkpoint"):
+            out = tmp_path / flag.strip("-")
+            assert main(["simulate", "--case", "two_bus", flag, ckpt, "--horizon", "1",
+                         "--out", str(out)]) == 0
+        assert ((tmp_path / "controller" / "trajectory.csv").read_bytes()
+                == (tmp_path / "checkpoint" / "trajectory.csv").read_bytes())
+
+    def test_controller_file_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({"type": "droop"}))
+        rc = main(["certify", "--case", "two_bus", "--controller", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'raw_gain'" in err
+
+    def test_non_finite_controller_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"type": "droop", "raw_gain": [float("nan"), 0.0]}))
+        rc = main(["certify", "--case", "two_bus", "--controller", str(path),
+                   "--scenarios", "1", "--calibration", "1", "--samples", "10",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "raw_gain must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_names_the_diverging_controller(self, tmp_path, capsys):
+        path = tmp_path / "lin300.json"
+        save_controller(LinearController(np.full(2, -300.0)), path)
+        rc = main(["evaluate", "--case", "two_bus", "--controller", "droop",
+                   "--controller", str(path), "--scenarios", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        assert re.search(
+            r"error: controller 'lin300' diverged in scenario 0 \([0-9a-f]{12}\): "
+            r"non-finite state at step \d+ \(t=\d+\.\d+\)",
+            capsys.readouterr().err,
+        )

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,26 @@ class TestSerialization:
         with pytest.raises(ControllerError, match="malformed"):
             controller_from_dict({"type": "droop"})
 
+    def test_document_error_names_the_file(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({"type": "droop"}))
+        with pytest.raises(ControllerError, match=f"{path}.*'raw_gain'"):
+            load_controller(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ControllerError, match="not found"):
             load_controller(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda bad: DroopController(np.array([0.5, bad])), "raw_gain"),
+    (lambda bad: MonotonePWLController(np.array([-0.5, bad]), np.zeros((2, 3))), "breakpoints"),
+    (lambda bad: MonotonePWLController(np.array([-0.5, 0.5]), np.array([[0.0, bad, 0.0]])),
+     "raw_slopes"),
+    (lambda bad: LinearController(np.array([bad])), "gain"),
+    (lambda bad: AdaptiveController(DroopController.initial(1), np.array([[bad]])), "raw_rate"),
+], ids=["droop", "pwl-breakpoints", "pwl-slopes", "linear", "adaptive"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_parameters_are_refused_naming_the_key(make, key, bad):
+    with pytest.raises(ControllerError, match=f"^{key} must be finite"):
+        make(bad)

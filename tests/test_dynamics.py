@@ -153,6 +153,14 @@ class TestStep:
             assert abs(state.omega[0] + state.omega[1]) <= 1e-14
             assert abs(state.delta[0] + state.delta[1]) <= 1e-14
 
+    def test_divergence_raises_without_warnings(self, two_bus, two_bus_eq):
+        # the overflow on the way is the divergence: one IntegrationError, no
+        # RuntimeWarning (which the test configuration turns into errors)
+        ctrl = LinearController(np.full(2, -1e300))
+        state = SystemState(two_bus_eq, np.array([0.1, -0.1]), np.zeros((2, 0)))
+        with pytest.raises(IntegrationError, match="non-finite state at step 1"):
+            step(two_bus, state, ctrl, make_constant_basis(2), dt=0.01)
+
     def test_unknown_method(self, two_bus, two_bus_eq):
         ctrl = DroopController.initial(2)
         state = equilibrium_state(two_bus, ctrl, two_bus_eq)

@@ -207,7 +207,7 @@ def per_step_grad(net, controller, scenarios, cost, dt):
         if adaptive:
             view = controller.select_features(stack.basis.features(k * dt))
             g_a, bar_w = controller.adaptation_vjp(omega, view, dt * lam_a)
-            grad += g_a
+            grad[controller.rate_block] += g_a
             new_lam_w += bar_w
             lam_a = lam_a + controller.control_vjp_ahat(view, bar_u)
         lam_d, lam_w = new_lam_d, new_lam_w
