@@ -7,13 +7,15 @@ training diverges, 4 when certification is refused or the certificate fails.
 `--case` takes a bundled case name ("ne39", "two_bus") or a path to a case
 JSON; `--controller` takes a fresh controller type (droop, pwl, integral,
 adaptive) or a path, and `--checkpoint` a path; one reader takes either
-path, a bare controller or a whole training checkpoint.  A resumed config
-obeys the rules of the flags that set it.  All randomness is keyed by
-`--seed`; output files are byte-identical across reruns with the same
-arguments.  `evaluate` integrates each controller's battery as one batch;
-`certify` integrates calibration and battery as one batch and streams their
-energy terms.  SWINGFREQ_THREADS, when set, must be a positive integer; no
-result depends on its value.
+path, a bare controller or a whole training checkpoint.  Outside `evaluate`
+a command takes one of the two.  A resumed config obeys the rules of the
+flags that set it, and a training flag given on resume must agree with it.
+All randomness is keyed by `--seed`; output files are byte-identical across
+reruns with the same arguments.  `evaluate` integrates each controller's
+battery as one batch.  `certify` hands the case, controller and equilibrium
+to `lyapunov.certify`, which decides the certificate; the command writes it
+and prints its causes of failure.  SWINGFREQ_THREADS, when set, must be a
+positive integer; no result depends on its value.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,35 +40,19 @@ from .controllers import (
     controller_from_dict,
     controller_to_dict,
 )
-from .dynamics import (
-    BasisSignal,
-    Disturbance,
-    IntegrationError,
-    SystemState,
-    rollout,
-    rollout_batch,
-)
-from .lyapunov import (
-    CertificationError,
-    EnergySeries,
-    certificate_report,
-    compute_gammas,
-    estimate_roa,
-    series_decrease,
-    series_margin_constant,
-    stream_energy,
-)
+from .dynamics import BasisSignal, IntegrationError, rollout, rollout_batch
+from .lyapunov import CertificationError, certify
 from .netmodel import (
     AssumptionViolation,
     CaseError,
     ConvergenceError,
     Network,
     bundled_case_path,
-    coi_project,
     load_case,
     solve_equilibrium,
 )
 from .training import (
+    EVAL_ONSET,
     AdamState,
     CostSpec,
     Scenario,
@@ -83,7 +68,6 @@ EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 EXIT_CERT = 4
 
-EVAL_ONSET = 2.0
 RESTORE_WINDOW = (10.0, 15.0)
 CONTROLLER_KINDS = ("droop", "pwl", "integral", "adaptive")
 
@@ -137,7 +121,7 @@ def _load_checkpoint(path: str | Path):
     try:
         adam = AdamState.from_dict(doc["optimizer"]) if "optimizer" in doc else None
     except KeyError as exc:
-        raise _missing_key(p, "optimizer", exc) from None
+        raise ControllerError(f"malformed checkpoint {p}: optimizer lacks key {exc}") from None
     n_raw = ctrl.raw_parameters().size
     for key, moment in (("m", adam.m), ("v", adam.v)) if adam is not None else ():
         if moment.shape != (n_raw,):
@@ -146,10 +130,6 @@ def _load_checkpoint(path: str | Path):
                 f"entries, the controller {n_raw} raw parameters"
             )
     return ctrl, adam, doc.get("config"), list(doc.get("losses", []))
-
-
-def _missing_key(path, part: str, exc: KeyError) -> ControllerError:
-    return ControllerError(f"malformed checkpoint {path}: {part} lacks key {exc}")
 
 
 def _from_file(path: str) -> tuple[str, Controller]:
@@ -266,12 +246,20 @@ def cmd_train(args) -> int:
             )
             conf = {key: cfg[key] for key in CONFIG_CHECKS}
         except KeyError as exc:
-            raise _missing_key(args.checkpoint, "config", exc) from None
+            raise ControllerError(
+                f"malformed checkpoint {args.checkpoint}: config lacks key {exc}"
+            ) from None
         for key, (ok, what) in CONFIG_CHECKS.items():
             if not ok(conf[key]):
                 raise ControllerError(
                     f"malformed checkpoint {args.checkpoint}: config key '{key}' "
                     f"must be {what}, got {conf[key]!r}"
+                )
+        for flag, key in getattr(args, "given", ()):
+            if getattr(args, key) != conf[key]:
+                raise ValueError(
+                    f"{flag} disagrees with the config of {args.checkpoint}, which has "
+                    f"{key} = {conf[key]!r}; resume without it"
                 )
         ctype = cfg.get("controller_type", type(ctrl).__name__)
     else:
@@ -433,133 +421,28 @@ def cmd_evaluate(args) -> int:
 # --- certify -----------------------------------------------------------------
 
 
-def _zero_sinusoids(scen: Scenario) -> Scenario:
-    coeffs = np.array(scen.basis.coeffs)
-    coeffs[:, :-1] = 0.0
-    return replace(scen, basis=replace(scen.basis, coeffs=coeffs))
-
-
-def _certify_battery(
-    net: Network,
-    controller: Controller,
-    count: int,
-    seed: int | np.random.SeedSequence,
-    delta_star: np.ndarray,
-) -> tuple[Scenario, ...]:
-    """Scenarios on which the decrease guarantee applies to this controller.
-
-    Full-basis adaptive controllers get steps plus sinusoid variation;
-    constant-feature ones get steps only (sinusoids are outside their model
-    class); static controllers get no injection change at all, just perturbed
-    in-region initial states, since their guarantee is around a fixed
-    operating point.
-    """
-    if isinstance(controller, AdaptiveController):
-        scens = make_scenarios(net, count, seed, onset=EVAL_ONSET)
-        if controller.feature_mode == "constant":
-            scens = tuple(_zero_sinusoids(s) for s in scens)
-        return scens
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    out = []
-    for child in ss.spawn(count):
-        gen = np.random.default_rng(child)
-        eta = gen.uniform(0.005 * np.pi, 0.02 * np.pi, (net.n, 2))
-        basis = BasisSignal(eta, np.zeros((net.n, 3)))
-        x0 = SystemState(
-            coi_project(delta_star + gen.uniform(-0.05, 0.05, net.n)),
-            gen.uniform(-0.05, 0.05, net.n),
-            np.zeros((net.n, 0)),
-        )
-        out.append(Scenario(Disturbance(), basis, x0))
-    return tuple(out)
-
-
-def _region_exit(net: Network, series: EnergySeries, row: int, bound: float) -> str | None:
-    """Where a row first has a line angle |delta_i - delta_j| above `bound`."""
-    out = np.flatnonzero(series.spread[:, row] > bound)
-    if not out.size:
-        return None
-    k = out[0]
-    i, j = net.edges[series.edge[k, row]]
-    return (
-        f"t={series.t[k]:.3f} s: line {net.bus_ids[i]}-{net.bus_ids[j]} angle "
-        f"{series.spread[k, row]:.3f} rad exceeds pi/2 - margin = {bound:.3f} rad"
-    )
-
-
 def cmd_certify(args) -> int:
     net = _resolve_case(args)
     ctrl, label = _resolve_controller(args, net)
-    if isinstance(ctrl, SaturatedController):
-        print(
-            "certification refused: saturated controllers are outside the "
-            "certified class",
-            file=sys.stderr,
-        )
-        return EXIT_CERT
-    delta_star = solve_equilibrium(net)
-    batt_ss, cal_ss = np.random.SeedSequence(args.seed).spawn(2)
-    battery = _certify_battery(net, ctrl, args.scenarios, batt_ss, delta_star)
-    calibration = _certify_battery(net, ctrl, args.calibration, cal_ss, delta_star)
-    names = [f"calibration trajectory {i}" for i in range(len(calibration))]
-    names += [f"trajectory {i}" for i in range(len(battery))]
-    # one batch, calibration rows first, reduced to energy terms as it runs
-    try:
-        series = stream_energy(
-            net, ctrl, calibration + battery, delta_star, horizon=args.horizon, dt=args.dt
-        )
-    except IntegrationError as exc:
-        raise IntegrationError(
-            f"{names[exc.row]} diverged: non-finite state at step {exc.step} "
-            f"(t={exc.t:.6g})"
-        ) from None
-    bound = np.pi / 2 - args.margin
-    exits = [
-        f"{name} left the operating region at {where}"
-        for row, name in enumerate(names)
-        if (where := _region_exit(net, series, row, bound)) is not None
-    ]
-    cal_rows = range(len(calibration))
-    tol_coeff = series_margin_constant(series, cal_rows).tol_coeff
-    reports = [
-        series_decrease(series, row, tol_coeff=tol_coeff)
-        for row in range(len(calibration), len(names))
-    ]
-    worst = max(reports, key=lambda r: r.worst_margin)
-    bounds = compute_gammas(
-        net, ctrl, margin=args.margin, samples=args.samples, rng=args.seed
+    doc, failures = certify(
+        net, ctrl, solve_equilibrium(net),
+        scenarios=args.scenarios, calibration=args.calibration, seed=args.seed,
+        horizon=args.horizon, dt=args.dt, margin=args.margin, samples=args.samples,
     )
-    roa = estimate_roa(net, bounds, delta_star)
-    doc = certificate_report(bounds, worst, roa)
-    doc["pass"] = doc["pass"] and not exits
-    doc.update(
-        controller=label,
-        case=args.case,
-        dt=args.dt,
-        horizon=args.horizon,
-        n_trajectories=len(reports),
-        tol_coeff=tol_coeff,
-        worst_by_trajectory=[r.worst_margin for r in reports],
-    )
+    doc.update(controller=label, case=args.case)
     out = _out_dir(args)
     _write_json(out / "certificate.json", doc)
-    print(f"gamma1 {bounds.gamma1:.6g}, gamma2 {bounds.gamma2:.6g} "
-          f"(beta1 {bounds.beta1:.6g}, beta2 {bounds.beta2:.6g})")
-    print(f"decrease over {len(reports)} trajectories: worst margin "
-          f"{worst.worst_margin:.3e} vs tol {worst.tol:.3e}")
-    print(f"region ball r {roa.r:.6g}, certified level rho {roa.rho:.6g}")
+    print(f"gamma1 {doc['gamma1']:.6g}, gamma2 {doc['gamma2']:.6g} "
+          f"(beta1 {doc['beta1']:.6g}, beta2 {doc['beta2']:.6g})")
+    print(f"decrease over {doc['n_trajectories']} trajectories: worst margin "
+          f"{doc['worst_margin']:.3e} vs tol {doc['tol']:.3e}")
+    print(f"region ball r {doc['roa']['r']:.6g}, certified level rho {doc['roa']['rho']:.6g}")
     print(f"wrote {out / 'certificate.json'}")
     if doc["pass"]:
         print("certificate PASS")
         return EXIT_OK
-    for line in exits:
+    for line in failures:
         print(f"certificate FAILED: {line}", file=sys.stderr)
-    if not worst.passed:
-        print(
-            f"certificate FAILED: margin {worst.worst_margin:.3e} at "
-            f"t={worst.worst_time:.3f} s exceeds tol {worst.tol:.3e}",
-            file=sys.stderr,
-        )
     return EXIT_CERT
 
 
@@ -592,6 +475,14 @@ NONNEGATIVE = _checked(float, lambda x: 0 <= x < np.inf, "a finite nonnegative n
 COUNT = _checked(int, lambda x: x > 0, "a positive integer")
 NONNEG_COUNT = _checked(int, lambda x: x >= 0, "a nonnegative integer")
 MARGIN = _checked(float, lambda x: 0 < x < np.pi / 2, "strictly between 0 and pi/2")
+
+class _Given(argparse.Action):
+    """Store the value (`const` if nargs=0) and note the flag in `namespace.given`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = (*getattr(namespace, "given", ()), (option_string, self.dest))
+
 
 # a training run's config, each key held to the rule of the flag that sets it;
 # a resumed checkpoint's config must pass the same rules
@@ -626,12 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--repair-balance", action="store_true",
         help="subtract the mean setpoint from every bus instead of failing on imbalance",
     )
-    case.add_argument("--seed", type=INTEGER, default=0)
+    case.add_argument("--seed", type=INTEGER, default=0, action=_Given)
     case.add_argument("--out", default=".", help="output directory")
 
     noise = argparse.ArgumentParser(add_help=False)
     noise.add_argument("--noise", type=NONNEGATIVE, default=0.0, metavar="EPS",
-                       help="uniform injection noise amplitude")
+                       action=_Given, help="uniform injection noise amplitude")
 
     method = argparse.ArgumentParser(add_help=False)
     g = method.add_mutually_exclusive_group()
@@ -642,13 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
     method.set_defaults(method="rk4")
 
     single = argparse.ArgumentParser(add_help=False)
-    single.add_argument(
+    source = single.add_mutually_exclusive_group()
+    source.add_argument(
         "--controller", default="droop",
         help="fresh controller type (droop, pwl, integral, adaptive) or a JSON path",
     )
-    single.add_argument("--checkpoint", help="load the controller from this checkpoint")
+    source.add_argument("--checkpoint", help="load the controller from this checkpoint")
     single.add_argument(
-        "--saturate", type=float, metavar="U_MAX",
+        "--saturate", type=POSITIVE, metavar="U_MAX",
         help="clip the control to |u| <= U_MAX",
     )
 
@@ -666,18 +558,20 @@ def build_parser() -> argparse.ArgumentParser:
         "train", parents=[case, noise],
         help="train a controller on random disturbance scenarios",
     )
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    source.add_argument(
         "--controller", default="adaptive",
         help="fresh controller type (droop, pwl, integral, adaptive) or a JSON path",
     )
-    p.add_argument("--checkpoint", help="resume training from this checkpoint")
+    source.add_argument("--checkpoint", help="resume training from this checkpoint; "
+                        "training flags given with it must match its config")
     p.add_argument("--scenarios", dest="n_scenarios", metavar="SCENARIOS",
-                   type=COUNT, default=50)
+                   type=COUNT, default=50, action=_Given)
     p.add_argument("--epochs", type=NONNEG_COUNT, default=200)
-    p.add_argument("--lr", type=POSITIVE, default=1e-3)
-    p.add_argument("--batch-size", type=COUNT, default=25)
-    p.add_argument("--dt", type=POSITIVE, default=0.01)
-    p.add_argument("--smooth-max", action="store_true",
+    p.add_argument("--lr", type=POSITIVE, default=1e-3, action=_Given)
+    p.add_argument("--batch-size", type=COUNT, default=25, action=_Given)
+    p.add_argument("--dt", type=POSITIVE, default=0.01, action=_Given)
+    p.add_argument("--smooth-max", action=_Given, nargs=0, const=True, default=False,
                    help="log-sum-exp softening of the peak-deviation term")
     p.add_argument("--log-every", type=COUNT, default=10)
     # a fresh run's config (CONFIG_CHECKS) starts at epoch 0
@@ -720,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_thread_cap()
         return args.func(args)
     except CertificationError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
+        print(f"certification {exc.verdict}: {exc}", file=sys.stderr)
         return EXIT_CERT
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -512,15 +512,16 @@ class AdaptiveController(Controller):
 class SaturatedController(Controller):
     """Clip another controller's output to |u_i| <= u_max.
 
-    Saturation is outside the certified controller class; the certification
-    command refuses to run on saturated controllers, and training through the
-    clip is not supported.
+    Saturation is outside the certified controller class; `lyapunov.certify`
+    refuses saturated controllers, and training through the clip is not
+    supported.  `u_max` must be finite and positive.
     """
 
     inner: Controller
     u_max: float
 
     def __post_init__(self) -> None:
+        _require_finite(u_max=np.asarray(self.u_max))
         if not self.u_max > 0:
             raise ControllerError("u_max must be positive")
         if isinstance(self.inner, SaturatedController):

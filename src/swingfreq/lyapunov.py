@@ -37,20 +37,27 @@ from a recorded `Trajectory`, its records taken as the batch, and stay the
 independent oracle of the streamed path.  One function computes the terms
 and one path splits segments and applies the stencils, for both.
 
+`certify` alone decides a certificate: it streams the calibration and
+battery scenarios suited to the controller as one batch, requires every row
+to stay in the region, fits the tolerance on the calibration rows, checks
+the decrease on the rest, and refuses saturated controllers.
+
 Everything here needs the true basis coefficients, so this module is
 simulation-side instrumentation: controllers never see it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .controllers import AdaptiveController, Controller
+from .controllers import AdaptiveController, Controller, SaturatedController
 from .dynamics import (
     BasisSignal,
+    Disturbance,
+    IntegrationError,
     Scenario,
     ScenarioStack,
     SystemState,
@@ -60,6 +67,7 @@ from .dynamics import (
     _step_table,
 )
 from .netmodel import Network, coi_project, hessian_S
+from .training import EVAL_ONSET, make_scenarios
 
 __all__ = [
     "CertificationError",
@@ -69,7 +77,7 @@ __all__ = [
     "LyapunovEval",
     "MarginFit",
     "RoaEstimate",
-    "certificate_report",
+    "certify",
     "check_decrease",
     "compute_gammas",
     "estimate_roa",
@@ -83,7 +91,12 @@ __all__ = [
 
 
 class CertificationError(RuntimeError):
-    """Certification could not be carried out on the given inputs."""
+    """Certification could not be carried out on the given inputs; `verdict`
+    is "refused" for a controller outside the certified class."""
+
+    def __init__(self, message: str, verdict: str = "failed"):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 @dataclass(frozen=True)
@@ -531,15 +544,105 @@ def estimate_roa(
     )
 
 
-def certificate_report(
-    bounds: GammaBounds, decrease: DecreaseReport, roa: RoaEstimate
-) -> dict:
-    """Assemble the JSON-ready certification summary."""
+def _zero_sinusoids(scen: Scenario) -> Scenario:
+    coeffs = np.array(scen.basis.coeffs)
+    coeffs[:, :-1] = 0.0
+    return replace(scen, basis=replace(scen.basis, coeffs=coeffs))
+
+
+def _certify_battery(
+    net: Network, controller: Controller, count: int, seed: np.random.SeedSequence,
+    delta_star: np.ndarray,
+) -> tuple[Scenario, ...]:
+    """Scenarios on which the decrease guarantee applies to this controller.
+
+    Full-basis adaptive controllers get steps plus sinusoid variation;
+    constant-feature ones get steps only (sinusoids are outside their model
+    class); static controllers get no injection change at all, just perturbed
+    in-region initial states, since their guarantee is around a fixed
+    operating point.
+    """
+    if isinstance(controller, AdaptiveController):
+        scens = make_scenarios(net, count, seed, onset=EVAL_ONSET)
+        if controller.feature_mode == "constant":
+            scens = tuple(_zero_sinusoids(s) for s in scens)
+        return scens
+    out = []
+    for child in seed.spawn(count):
+        gen = np.random.default_rng(child)
+        eta = gen.uniform(0.005 * np.pi, 0.02 * np.pi, (net.n, 2))
+        basis = BasisSignal(eta, np.zeros((net.n, 3)))
+        x0 = SystemState(
+            coi_project(delta_star + gen.uniform(-0.05, 0.05, net.n)),
+            gen.uniform(-0.05, 0.05, net.n),
+            np.zeros((net.n, 0)),
+        )
+        out.append(Scenario(Disturbance(), basis, x0))
+    return tuple(out)
+
+
+def _region_exit(net: Network, series: EnergySeries, row: int, bound: float) -> str | None:
+    """Where a row first has a line angle |delta_i - delta_j| above `bound`."""
+    out = np.flatnonzero(series.spread[:, row] > bound)
+    if not out.size:
+        return None
+    k = out[0]
+    i, j = net.edges[series.edge[k, row]]
+    return (
+        f"t={series.t[k]:.3f} s: line {net.bus_ids[i]}-{net.bus_ids[j]} angle "
+        f"{series.spread[k, row]:.3f} rad exceeds pi/2 - margin = {bound:.3f} rad"
+    )
+
+
+def certify(
+    net: Network, controller: Controller, delta_star: np.ndarray, *,
+    scenarios: int, calibration: int, seed: int,
+    horizon: float, dt: float, margin: float, samples: int,
+) -> tuple[dict, list[str]]:
+    """The certificate of `controller` as a JSON-ready document, and its causes
+    of failure; it passes when there are none and the region estimate is
+    valid.  A saturated controller is refused with CertificationError."""
+    if isinstance(controller, SaturatedController):
+        raise CertificationError(
+            "saturated controllers are outside the certified class", verdict="refused"
+        )
+    batt_ss, cal_ss = np.random.SeedSequence(seed).spawn(2)
+    battery = _certify_battery(net, controller, scenarios, batt_ss, delta_star)
+    cal = _certify_battery(net, controller, calibration, cal_ss, delta_star)
+    names = [f"calibration trajectory {i}" for i in range(len(cal))]
+    names += [f"trajectory {i}" for i in range(len(battery))]
+    # one batch, calibration rows first, reduced to energy terms as it runs
+    try:
+        series = stream_energy(net, controller, cal + battery, delta_star, horizon=horizon, dt=dt)
+    except IntegrationError as exc:
+        raise IntegrationError(
+            f"{names[exc.row]} diverged: non-finite state at step {exc.step} "
+            f"(t={exc.t:.6g})"
+        ) from None
+    bound = np.pi / 2 - margin
+    failures = [
+        f"{name} left the operating region at {where}"
+        for row, name in enumerate(names)
+        if (where := _region_exit(net, series, row, bound)) is not None
+    ]
+    tol_coeff = series_margin_constant(series, range(len(cal))).tol_coeff
+    reports = [
+        series_decrease(series, row, tol_coeff=tol_coeff)
+        for row in range(len(cal), len(names))
+    ]
+    worst = max(reports, key=lambda r: r.worst_margin)
+    if not worst.passed:
+        failures.append(
+            f"margin {worst.worst_margin:.3e} at t={worst.worst_time:.3f} s "
+            f"exceeds tol {worst.tol:.3e}"
+        )
+    bounds = compute_gammas(net, controller, margin=margin, samples=samples, rng=seed)
+    roa = estimate_roa(net, bounds, delta_star)
     return {
-        **asdict(bounds),
-        "worst_margin": decrease.worst_margin,
-        "worst_time": decrease.worst_time,
-        "tol": decrease.tol,
+        **asdict(bounds), "dt": dt, "horizon": horizon, "tol_coeff": tol_coeff,
+        "worst_margin": worst.worst_margin, "worst_time": worst.worst_time, "tol": worst.tol,
+        "worst_by_trajectory": [r.worst_margin for r in reports],
+        "n_trajectories": len(reports),
         "roa": {"r": roa.r, "rho": roa.rho, "valid": roa.valid},
-        "pass": bool(decrease.passed and roa.valid),
-    }
+        "pass": roa.valid and not failures,
+    }, failures

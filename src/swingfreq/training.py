@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 SMOOTH_MAX_TEMP = 100.0
+EVAL_ONSET = 2.0  # step onset of simulate's, evaluate's and certify's scenarios
 # adjoint steps per control_wrt_omega / control_vjp_raw call; the buffered
 # (32, 25, 39) bar_u is 0.25 MB
 ADJOINT_BLOCK = 32

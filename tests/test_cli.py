@@ -224,6 +224,41 @@ class TestTrain:
         )
         assert not (tmp_path / "resumed").exists()
 
+    def test_resume_refuses_a_disagreeing_flag(self, tmp_path, capsys):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        path = tmp_path / "checkpoint.json"
+        rc = main([
+            "train", "--case", "two_bus", "--checkpoint", str(path), "--epochs", "1",
+            "--lr", "0.5", "--seed", "9", "--scenarios", "7", "--noise", "0.1",
+            "--out", str(tmp_path / "resumed"),
+        ])
+        assert rc == 2
+        # the first disagreeing flag is named, with the config's value
+        err = capsys.readouterr().err
+        assert f"--lr disagrees with the config of {path}, which has lr = 0.001" in err
+        assert not (tmp_path / "resumed").exists()
+
+    def test_resume_refuses_smooth_max_on_a_hard_max_run(self, tmp_path, capsys):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        path = tmp_path / "checkpoint.json"
+        rc = main(["train", "--case", "two_bus", "--checkpoint", str(path),
+                   "--epochs", "1", "--smooth-max", "--out", str(tmp_path / "resumed")])
+        assert rc == 2
+        assert "--smooth-max disagrees" in capsys.readouterr().err
+        assert not (tmp_path / "resumed").exists()
+
+    def test_resume_accepts_flags_matching_its_config(self, tmp_path):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        assert main([
+            "train", "--case", "two_bus", "--checkpoint", str(tmp_path / "checkpoint.json"),
+            "--epochs", "1", "--lr", "0.001", "--seed", "0", "--scenarios", "2",
+            "--noise", "0", "--dt", "0.01", "--batch-size", "25",
+            "--out", str(tmp_path / "resumed"),
+        ]) == 0
+
     def test_resume_checks_optimizer_size(self, tmp_path, capsys):
         # two_bus droop has 2 raw parameters; a 1-entry moment would broadcast
         main(["train", "--case", "two_bus", "--controller", "droop",
@@ -442,6 +477,26 @@ class TestCertify:
             ]) == 0
         assert (a / "certificate.json").read_bytes() == (b / "certificate.json").read_bytes()
 
+    def test_document_is_the_library_certificate(self, tmp_path):
+        from swingfreq.cli import _fresh_controller
+        from swingfreq.lyapunov import certify
+        from swingfreq.netmodel import bundled_case_path, load_case, solve_equilibrium
+
+        assert main([
+            "certify", "--case", "two_bus", "--controller", "integral", "--seed", "3",
+            "--scenarios", "3", "--calibration", "2", "--samples", "50",
+            "--out", str(tmp_path),
+        ]) == 0
+        net = load_case(bundled_case_path("two_bus"))
+        doc, failures = certify(
+            net, _fresh_controller("integral", net.n), solve_equilibrium(net),
+            scenarios=3, calibration=2, seed=3, horizon=6.0, dt=0.005, margin=0.01,
+            samples=50,
+        )
+        written = json.loads((tmp_path / "certificate.json").read_text())
+        assert (written.pop("controller"), written.pop("case")) == ("integral", "two_bus")
+        assert written == doc and failures == []
+
     def test_saturated_controller_is_refused(self, tmp_path, capsys):
         rc = main([
             "certify", "--case", "two_bus", "--controller", "droop",
@@ -490,6 +545,8 @@ def test_case_without_lines_exits_2_naming_it(command, tmp_path, capsys):
     ("certify", "--scenarios", "0"),
     ("certify", "--calibration", "0"),
     ("certify", "--margin", "2"),
+    ("simulate", "--saturate", "-1"),
+    ("certify", "--saturate", "inf"),
 ])
 def test_bad_numeric_flag_exits_2_naming_it(command, flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -523,6 +580,16 @@ class TestSharedInputs:
                      "--scenarios", "1", *extra, "--out", str(tmp_path / "eval")]) == 0
         doc = json.loads((tmp_path / "eval" / "comparison.json").read_text())
         assert doc["method"] == method
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "certify"])
+    def test_controller_and_checkpoint_exclude_each_other(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--controller", "pwl", "--checkpoint", "c.json",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert ("argument --checkpoint: not allowed with argument --controller"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
 
     def test_euler_and_rk4_exclude_each_other(self, capsys):
         with pytest.raises(SystemExit) as exc:

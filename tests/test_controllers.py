@@ -384,7 +384,8 @@ class TestSerialization:
      "raw_slopes"),
     (lambda bad: LinearController(np.array([bad])), "gain"),
     (lambda bad: AdaptiveController(DroopController.initial(1), np.array([[bad]])), "raw_rate"),
-], ids=["droop", "pwl-breakpoints", "pwl-slopes", "linear", "adaptive"])
+    (lambda bad: SaturatedController(DroopController.initial(1), bad), "u_max"),
+], ids=["droop", "pwl-breakpoints", "pwl-slopes", "linear", "adaptive", "saturated"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_parameters_are_refused_naming_the_key(make, key, bad):
     with pytest.raises(ControllerError, match=f"^{key} must be finite"):

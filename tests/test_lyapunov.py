@@ -7,6 +7,7 @@ from swingfreq.controllers import (
     DroopController,
     LinearController,
     MonotonePWLController,
+    SaturatedController,
 )
 from swingfreq.dynamics import (
     Disturbance,
@@ -19,9 +20,9 @@ from swingfreq.dynamics import (
 )
 from swingfreq.lyapunov import (
     CertificationError,
+    certify,
     check_decrease,
     compute_gammas,
-    certificate_report,
     estimate_roa,
     eval_V,
     eval_Wp,
@@ -390,16 +391,24 @@ class TestRoa:
             assert np.abs(traj.omega[-1]).max() <= 1e-4
 
 
-def test_certificate_report_passes_through(two_bus, two_bus_eq):
-    ctrl = DroopController.initial(2)
+CERTIFY_ARGS = dict(
+    scenarios=3, calibration=2, seed=0, horizon=2.0, dt=0.01, margin=0.01, samples=50
+)
+
+
+def test_certify_passes_through(two_bus, two_bus_eq):
     gb = compute_gammas(two_bus, margin=0.01, samples=50)
     roa = estimate_roa(two_bus, gb, two_bus_eq)
-    scen = Scenario(Disturbance(), make_constant_basis(2))
-    traj = rollout(two_bus, ctrl, scen.basis, horizon=2.0, dt=0.01)
-    rep = check_decrease(traj, two_bus, scen, ctrl, two_bus_eq, tol_coeff=1.0)
-    doc = certificate_report(gb, rep, roa)
-    assert doc["pass"] is True
+    doc, failures = certify(two_bus, DroopController.initial(2), two_bus_eq, **CERTIFY_ARGS)
+    assert doc["pass"] is True and failures == []
     assert doc["gamma1"] == gb.gamma1
-    assert doc["worst_margin"] == rep.worst_margin
+    assert doc["worst_margin"] == max(doc["worst_by_trajectory"])
     assert doc["roa"] == {"r": roa.r, "rho": roa.rho, "valid": roa.valid}
     assert doc["beta1_sampled"] >= doc["beta1"]
+
+
+def test_certify_refuses_saturated_controllers(two_bus, two_bus_eq):
+    ctrl = SaturatedController(DroopController.initial(2), 0.1)
+    with pytest.raises(CertificationError, match="saturated") as exc:
+        certify(two_bus, ctrl, two_bus_eq, **CERTIFY_ARGS)
+    assert exc.value.verdict == "refused"
