@@ -8,7 +8,8 @@ training diverges, 4 when certification is refused or the certificate fails.
 JSON; `--controller` takes a fresh controller type (droop, pwl, integral,
 adaptive) or a path, and `--checkpoint` a path; one reader takes either
 path, a bare controller or a whole training checkpoint.  Outside `evaluate`
-a command takes one of the two.  A resumed config obeys the rules of the
+a command takes one of the two, and given neither uses a fresh droop
+controller (`train`: adaptive).  A resumed config obeys the rules of the
 flags that set it, and a training flag given on resume must agree with it.
 All randomness is keyed by `--seed`; output files are byte-identical across
 reruns with the same arguments.  `evaluate` integrates each controller's
@@ -53,6 +54,7 @@ from .netmodel import (
 )
 from .training import (
     EVAL_ONSET,
+    RESTORE_WINDOW,
     AdamState,
     CostSpec,
     Scenario,
@@ -68,7 +70,6 @@ EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 EXIT_CERT = 4
 
-RESTORE_WINDOW = (10.0, 15.0)
 CONTROLLER_KINDS = ("droop", "pwl", "integral", "adaptive")
 
 
@@ -152,9 +153,10 @@ def _sized(ctrl: Controller, net: Network, label: str = "") -> Controller:
     return ctrl
 
 
-def _resolve_controller(args, net: Network) -> tuple[Controller, str]:
-    ckpt = args.checkpoint
-    label, ctrl = _from_file(ckpt) if ckpt else _controller_spec(args.controller, net)
+def _resolve_controller(args, net: Network, default: str) -> tuple[Controller, str]:
+    """The `--checkpoint` or `--controller` of a command; `default` when neither is given."""
+    spec = default if args.controller is None else args.controller
+    label, ctrl = _from_file(args.checkpoint) if args.checkpoint else _controller_spec(spec, net)
     if getattr(args, "saturate", None) is not None:
         ctrl = SaturatedController(ctrl, args.saturate)
     return _sized(ctrl, net), label
@@ -193,12 +195,17 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    if args.no_disturbance and args.noise > 0:
+        raise ValueError(
+            f"--no-disturbance removes every injection, so --noise {args.noise:g} "
+            "would be ignored; pass one or the other"
+        )
     net = _resolve_case(args)
-    ctrl, label = _resolve_controller(args, net)
+    ctrl, label = _resolve_controller(args, net, "droop")
     scen = make_scenarios(net, 1, args.seed, noise_eps=args.noise, onset=EVAL_ONSET)[0]
     basis, dist = scen.basis, scen.dist
     if args.no_disturbance:
-        basis = BasisSignal(basis.eta, np.zeros_like(basis.coeffs), basis.dt_ref)
+        basis = BasisSignal(basis.eta, np.zeros_like(basis.coeffs))
         dist = None
     traj = rollout(
         net, ctrl, basis, dist, horizon=args.horizon, dt=args.dt, method=args.method
@@ -217,7 +224,7 @@ def cmd_simulate(args) -> int:
     if tail.t[-1] >= cost.T - 1e-9:
         print(f"transient     {transient_loss(tail, cost):.6g}")
     if tail.t[-1] >= RESTORE_WINDOW[1] - 1e-9:
-        print(f"restoration   {restoration_cost(tail, RESTORE_WINDOW):.6g} rad/s "
+        print(f"restoration   {restoration_cost(tail):.6g} rad/s "
               f"(mean over {RESTORE_WINDOW[0]:g}..{RESTORE_WINDOW[1]:g} s after onset)")
     return EXIT_OK
 
@@ -263,7 +270,7 @@ def cmd_train(args) -> int:
                 )
         ctype = cfg.get("controller_type", type(ctrl).__name__)
     else:
-        ctrl, ctype = _resolve_controller(args, net)
+        ctrl, ctype = _resolve_controller(args, net, "adaptive")
         conf = {key: getattr(args, key) for key in CONFIG_CHECKS}
         cost = make_cost_spec(net, conf["seed"])
     start = conf["epochs_done"]
@@ -368,7 +375,7 @@ def cmd_evaluate(args) -> int:
                 "controller": label,
                 "scenario_hash": scen_hash,
                 "nadir": float(np.abs(tail.omega).max()),
-                "restoration": restoration_cost(tail, RESTORE_WINDOW),
+                "restoration": restoration_cost(tail),
                 "transient_loss": transient_loss(tail, cost),
                 "peak_u": float(np.abs(tail.u).max()),
             })
@@ -423,7 +430,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_certify(args) -> int:
     net = _resolve_case(args)
-    ctrl, label = _resolve_controller(args, net)
+    ctrl, label = _resolve_controller(args, net, "droop")
     doc, failures = certify(
         net, ctrl, solve_equilibrium(net),
         scenarios=args.scenarios, calibration=args.calibration, seed=args.seed,
@@ -534,9 +541,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     single = argparse.ArgumentParser(add_help=False)
     source = single.add_mutually_exclusive_group()
+    # no argparse default: argparse counts a flag whose value is its default
+    # object as absent, so `--controller droop --checkpoint c` would pass the
+    # exclusion in-process; each command resolves its own default instead
     source.add_argument(
-        "--controller", default="droop",
-        help="fresh controller type (droop, pwl, integral, adaptive) or a JSON path",
+        "--controller",
+        help="fresh controller type (droop, pwl, integral, adaptive) or a JSON path; "
+        "default droop",
     )
     source.add_argument("--checkpoint", help="load the controller from this checkpoint")
     single.add_argument(
@@ -551,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=POSITIVE, default=0.01)
     p.add_argument("--horizon", type=POSITIVE, default=15.0, help="simulated seconds")
     p.add_argument("--no-disturbance", action="store_true",
-                   help="zero the injection variation (equilibrium run)")
+                   help="zero the injection variation (equilibrium run); "
+                   "refused with --noise")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -560,8 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source = p.add_mutually_exclusive_group()
     source.add_argument(
-        "--controller", default="adaptive",
-        help="fresh controller type (droop, pwl, integral, adaptive) or a JSON path",
+        "--controller",
+        help="fresh controller type (droop, pwl, integral, adaptive) or a JSON path; "
+        "default adaptive",
     )
     source.add_argument("--checkpoint", help="resume training from this checkpoint; "
                         "training flags given with it must match its config")

@@ -40,12 +40,13 @@ __all__ = [
     "controller_to_dict",
     "default_breakpoints",
     "inv_softplus",
-    "load_controller",
     "save_controller",
     "softplus",
 ]
 
 RATE_FLOOR = 1e-4
+PWL_BREAKPOINTS = 19  # interior breakpoints of the default PWL grid
+PWL_WIDTH = 1.0  # the default grid spans [-PWL_WIDTH, PWL_WIDTH]
 
 
 class ControllerError(ValueError):
@@ -76,9 +77,9 @@ def inv_softplus(y: np.ndarray) -> np.ndarray:
     return y + np.log(-np.expm1(-y))
 
 
-def default_breakpoints(m: int = 19, width: float = 1.0) -> np.ndarray:
-    """Uniform interior breakpoints giving m+1 segments over [-width, width]."""
-    return np.linspace(-width, width, m + 2)[1:-1].copy()
+def default_breakpoints() -> np.ndarray:
+    """PWL_BREAKPOINTS uniform interior breakpoints over [-PWL_WIDTH, PWL_WIDTH]."""
+    return np.linspace(-PWL_WIDTH, PWL_WIDTH, PWL_BREAKPOINTS + 2)[1:-1].copy()
 
 
 def _require_finite(**params: np.ndarray) -> None:
@@ -614,12 +615,3 @@ def controller_from_dict(doc: dict) -> Controller:
 def save_controller(ctrl: Controller, path: str | Path) -> None:
     Path(path).write_text(json.dumps(controller_to_dict(ctrl), indent=1) + "\n")
 
-
-def load_controller(path: str | Path) -> Controller:
-    path = Path(path)
-    try:
-        return controller_from_dict(json.loads(path.read_text()))
-    except FileNotFoundError:
-        raise ControllerError(f"controller file not found: {path}") from None
-    except (json.JSONDecodeError, ControllerError) as exc:
-        raise ControllerError(f"malformed controller file {path}: {exc}") from None

@@ -49,13 +49,14 @@ __all__ = [
     "ScenarioStack",
     "SystemState",
     "Trajectory",
-    "equilibrium_state",
     "make_constant_basis",
     "make_sinusoid_basis",
     "rollout",
     "rollout_batch",
     "step",
 ]
+
+DT_REF = 0.01  # simulated seconds per step of the basis feature index
 
 
 class IntegrationError(RuntimeError):
@@ -98,19 +99,18 @@ class SystemState:
 
 @dataclass(frozen=True, eq=False)
 class BasisSignal:
-    """Per-bus feature vectors phi_i(k) = (sin(eta_i^1 k), ..., 1) over k = t/dt_ref.
+    """Per-bus feature vectors phi_i(k) = (sin(eta_i^1 k), ..., 1) over k = t/DT_REF.
 
     `eta` holds the sinusoid step-frequencies, one row per bus (zero columns
     for a constant-only basis); `coeffs` the true coefficients a_i, with the
     trailing column always belonging to the constant-1 feature.  The feature
-    index k advances by 1 per `dt_ref` of simulated time regardless of the
+    index k advances by 1 per `DT_REF` of simulated time regardless of the
     integration step, and is evaluated at fractional k for sub-stage times.
     A battery's bases stack into one signal, `eta` (B, n, m), `coeffs` (B, n, m+1).
     """
 
     eta: np.ndarray
     coeffs: np.ndarray
-    dt_ref: float = 0.01
 
     def __post_init__(self) -> None:
         eta = np.ascontiguousarray(self.eta, dtype=float)
@@ -121,8 +121,6 @@ class BasisSignal:
             raise ValueError("coeffs must have one more column than eta (constant term)")
         if not np.all(np.isfinite(eta)) or not np.all(np.isfinite(coeffs)):
             raise ValueError("non-finite basis parameters")
-        if not self.dt_ref > 0:
-            raise ValueError("dt_ref must be positive")
         eta.flags.writeable = False
         coeffs.flags.writeable = False
         object.__setattr__(self, "eta", eta)
@@ -138,7 +136,7 @@ class BasisSignal:
 
     def features(self, t: float | np.ndarray) -> np.ndarray:
         """Evaluate phi at time(s) t; shape t.shape + coeffs.shape."""
-        k = np.asarray(t, dtype=float) / self.dt_ref
+        k = np.asarray(t, dtype=float) / DT_REF
         out = np.empty(k.shape + self.coeffs.shape)
         out[..., -1] = 1.0
         if self.eta.shape[-1]:
@@ -221,19 +219,6 @@ class Scenario:
     x0: SystemState | None = None
 
 
-def equilibrium_state(
-    net: Network, controller: Controller, delta_star: np.ndarray | None = None
-) -> SystemState:
-    """Default initial condition: equilibrium angles, zero deviation, zero estimates."""
-    if delta_star is None:
-        delta_star = solve_equilibrium(net)
-    return SystemState(
-        np.asarray(delta_star, dtype=float),
-        np.zeros(net.n),
-        np.zeros((net.n, controller.n_features)),
-    )
-
-
 def _step_table(
     scenarios: Sequence[Scenario], n: int, dt: float, n_steps: int
 ) -> dict[int, np.ndarray]:
@@ -246,17 +231,15 @@ def _step_table(
     }
 
 
-NOISE_BLOCK = 64  # steps of injection noise drawn per generator call
-
-
 class ScenarioStack:
     """A scenario battery as stacked arrays, one row per scenario in order.
 
     `basis` stacks the scenarios' bases, (B, n, l); `injections()` streams
-    each step's step-plus-noise injection, (B, n), with the noise drawn as a
-    lone rollout of each scenario draws it; `delta0`, `omega0` (B, n) and
-    `a0` (B, n, l_ctrl) are the initial states; `steps` is the battery's
-    `_step_table`.  Nothing here is horizon-long.
+    each step's step-plus-noise injection, (B, n), each noisy row drawing its
+    step's noise from its own seeded stream, as a lone rollout of that
+    scenario draws it; `delta0`, `omega0` (B, n) and `a0` (B, n, l_ctrl) are
+    the initial states; `steps` is the battery's `_step_table`.  Nothing here
+    is horizon-long.
     """
 
     def __init__(
@@ -275,14 +258,13 @@ class ScenarioStack:
         for s in scenarios:
             if s.basis.n != net.n:
                 raise ValueError("scenario basis does not match the network")
-            if s.basis.n_features != first.n_features or s.basis.dt_ref != first.dt_ref:
+            if s.basis.n_features != first.n_features:
                 raise ValueError("scenarios in a batch must share the basis layout")
         n = net.n
         self.B, self.n, self.dt, self.n_steps = B, n, dt, n_steps
         self.basis = BasisSignal(
             np.stack([s.basis.eta for s in scenarios]),
             np.stack([s.basis.coeffs for s in scenarios]),
-            first.dt_ref,
         )
         self.steps = _step_table(scenarios, n, dt, n_steps)
         self._noisy = [
@@ -307,14 +289,12 @@ class ScenarioStack:
         gens = [(b, np.random.default_rng(seed), eps) for b, seed, eps in self._noisy]
         steps, k = self.steps[0], 0
         while True:
-            block = np.zeros((NOISE_BLOCK, self.B, self.n)) if gens else None
+            steps = self.steps.get(k, steps)
+            p = steps.copy() if gens else steps
             for b, gen, eps in gens:
-                # one block draw is the same stream as NOISE_BLOCK per-step draws
-                block[:, b] = gen.uniform(-eps, eps, (NOISE_BLOCK, self.n))
-            for j in range(NOISE_BLOCK):
-                steps = self.steps.get(k, steps)
-                yield steps if block is None else steps + block[j]
-                k += 1
+                p[b] += gen.uniform(-eps, eps, self.n)
+            yield p
+            k += 1
 
 
 def _forcing(net: Network, controller: Controller, basis: BasisSignal, t: float, p_extra):
@@ -577,7 +557,7 @@ def rollout(
         "basis": {
             "eta": basis.eta.tolist(),
             "coeffs": basis.coeffs.tolist(),
-            "dt_ref": basis.dt_ref,
+            "dt_ref": DT_REF,
         },
     }
     return replace(traj, meta=meta)

@@ -474,19 +474,20 @@ def _third_derivative(series: EnergySeries, row: int) -> float:
     return v3
 
 
-MARGIN_SAFETY = 4.0  # default multiple of the stencil-error estimate in the tolerance
+MARGIN_SAFETY = 4.0  # multiple of the stencil-error estimate in the tolerance
+ROA_MARGIN_FRAC = 0.1  # the certified level sits this fraction below gamma1 r^2
 
 
-def _margin_fit(v3s, safety: float) -> MarginFit:
+def _margin_fit(v3s) -> MarginFit:
     v3 = max([0.0, *v3s])
     if v3 == 0.0:
         raise CertificationError("calibration trajectories too short to fit a tolerance")
-    return MarginFit(tol_coeff=float(safety * v3 / 3.0))
+    return MarginFit(tol_coeff=float(MARGIN_SAFETY * v3 / 3.0))
 
 
 def series_margin_constant(series: EnergySeries, rows: Sequence[int]) -> MarginFit:
     """`fit_margin_constant` on the given rows of a series."""
-    return _margin_fit((_third_derivative(series, b) for b in rows), MARGIN_SAFETY)
+    return _margin_fit(_third_derivative(series, b) for b in rows)
 
 
 def fit_margin_constant(
@@ -495,44 +496,33 @@ def fit_margin_constant(
     scenarios: Sequence[Scenario],
     controller: Controller,
     delta_star: np.ndarray,
-    *,
-    safety: float = MARGIN_SAFETY,
 ) -> MarginFit:
     """Calibrate the decrease-check tolerance from trajectory data.
 
     Both difference stencils used by `check_decrease` have error bounded by
-    (dt^2 / 3) |V'''|, so the constant is safety * max|V'''| / 3 with V'''
+    (dt^2 / 3) |V'''|, so the constant is MARGIN_SAFETY * max|V'''| / 3 with V'''
     estimated by third differences of the segment-folded energy series.
     Calibrating on rollouts of other scenarios than the ones under test
     keeps the tolerance independent of the check it feeds.
     """
     return _margin_fit(
-        (
-            _third_derivative(_trajectory_series(traj, net, scen, controller, delta_star), 0)
-            for traj, scen in zip(trajectories, scenarios, strict=True)
-        ),
-        safety,
+        _third_derivative(_trajectory_series(traj, net, scen, controller, delta_star), 0)
+        for traj, scen in zip(trajectories, scenarios, strict=True)
     )
 
 
-def estimate_roa(
-    net: Network,
-    bounds: GammaBounds,
-    delta_star: np.ndarray,
-    *,
-    margin_frac: float = 0.1,
-) -> RoaEstimate:
+def estimate_roa(net: Network, bounds: GammaBounds, delta_star: np.ndarray) -> RoaEstimate:
     """Largest certified ball and sublevel set around the equilibrium.
 
     A ball of radius r in the joint (delta - delta_star, omega, ahat - a)
     space keeps every edge difference within the margin region as long as
     sqrt(2) r plus the equilibrium spread stays below pi/2 - margin; the
-    level rho = gamma1 r^2 (1 - margin_frac) then sits strictly below the
+    level rho = gamma1 r^2 (1 - ROA_MARGIN_FRAC) then sits strictly below the
     lower quadratic bound on the ball boundary.
     """
     d0 = np.abs(net.edge_differences(delta_star)).max() if net.n_edges else 0.0
     r = (np.pi / 2 - bounds.margin - d0) / np.sqrt(2.0)
-    rho = bounds.gamma1 * r**2 * (1.0 - margin_frac)
+    rho = bounds.gamma1 * r**2 * (1.0 - ROA_MARGIN_FRAC)
     valid = bool(r > 0 and rho > 0)
     return RoaEstimate(
         r=float(r),

@@ -39,6 +39,8 @@ __all__ = [
 
 BALANCE_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
+NEWTON_TOL = 1e-12  # residual at which the equilibrium iteration stops
+NEWTON_MAX_ITER = 60
 
 
 class CaseError(ValueError):
@@ -259,13 +261,7 @@ def hess_S_vecprod(net: Network, delta: np.ndarray, v: np.ndarray) -> np.ndarray
     return (w * net.edge_differences(v)) @ net.incidence
 
 
-def solve_equilibrium(
-    net: Network,
-    delta0: np.ndarray | None = None,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> np.ndarray:
+def solve_equilibrium(net: Network, delta0: np.ndarray | None = None) -> np.ndarray:
     """Solve grad_S(delta) = p_star for the COI-gauge equilibrium angles.
 
     Damped Newton from delta0 (default 0).  The Laplacian's null direction is
@@ -285,8 +281,8 @@ def solve_equilibrium(
     ones = np.ones((net.n, net.n)) / net.n
     res = grad_S(net, delta) - net.p_star
     norm = np.abs(res).max()
-    for _ in range(max_iter):
-        if norm <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if norm <= NEWTON_TOL:
             break
         step = np.linalg.solve(hessian_S(net, delta) + ones, res)
         scale = 1.0
@@ -305,7 +301,7 @@ def solve_equilibrium(
     if norm > RESIDUAL_TOL:
         raise ConvergenceError(
             f"equilibrium residual {norm:.3e} exceeds {RESIDUAL_TOL:g} after "
-            f"{max_iter} iterations (setpoints may be infeasible)"
+            f"{NEWTON_MAX_ITER} iterations (setpoints may be infeasible)"
         )
     if np.abs(net.edge_differences(delta)).max() >= np.pi / 2:
         raise AssumptionViolation(

@@ -7,12 +7,13 @@ The transient loss of one closed-loop trajectory is
 and training minimizes its batch average by gradient descent on the raw
 (unconstrained) controller parameters.  Gradients are exact reverse-mode
 derivatives of the discretized rollout.  The forward pass is the explicit
-Euler case of the one integrator in `dynamics`, at the reference step (the
+Euler case of the one integrator in `dynamics`, by default at `DT_REF` (the
 cadence the basis signals are defined over); certification and evaluation
-use its RK4 case.  The backward pass walks the same recurrence with
-hand-written vector-Jacobian products for every term: network coupling via
-Hessian-vector products, controller terms via the hooks the controllers
-expose.  It keeps only the angle, frequency and control histories, so
+use its RK4 case.  gamma, the range the per-bus c_i are drawn from and the
+loss horizon are module constants (`make_cost_spec`).  The backward pass
+walks the same recurrence with hand-written vector-Jacobian products for
+every term: network coupling via Hessian-vector products, controller terms
+via the hooks the controllers expose.  It keeps only the angle, frequency and control histories, so
 memory stays linear in the horizon; it recomputes the features per step and
 takes the controller terms that do not feed the recurrence once per block of
 `ADJOINT_BLOCK` steps.  The max is handled as a hard max with the subgradient
@@ -54,13 +55,11 @@ __all__ = [
     "CostSpec",
     "GradientCheckReport",
     "Scenario",
-    "ScenarioSet",
     "TrainReport",
     "batch_loss",
     "grad_loss",
     "gradient_check",
     "make_cost_spec",
-    "make_scenario_set",
     "make_scenarios",
     "restoration_cost",
     "train",
@@ -69,6 +68,15 @@ __all__ = [
 
 SMOOTH_MAX_TEMP = 100.0
 EVAL_ONSET = 2.0  # step onset of simulate's, evaluate's and certify's scenarios
+RESTORE_WINDOW = (10.0, 15.0)  # restoration window, seconds after the onset
+MAX_STEP_BUSES = 3  # a scenario steps 1..MAX_STEP_BUSES buses
+ACTION_WEIGHT = 0.1  # gamma of `make_cost_spec`
+ACTION_COEFF_RANGE = (0.025, 0.075)  # per-bus c of `make_cost_spec`, drawn uniformly
+COST_HORIZON = 4.0  # T of `make_cost_spec`, seconds
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+FD_STEP = 1e-4  # central-difference step of `gradient_check`
+MIN_GRAD = 1e-6  # `gradient_check` skips derivatives below this both ways
 # adjoint steps per control_wrt_omega / control_vjp_raw call; the buffered
 # (32, 25, 39) bar_u is 0.25 MB
 ADJOINT_BLOCK = 32
@@ -91,25 +99,11 @@ class CostSpec:
 
 
 def make_cost_spec(
-    net: Network,
-    rng: int | np.random.Generator | np.random.SeedSequence,
-    *,
-    gamma: float = 0.1,
-    c_range: tuple[float, float] = (0.025, 0.075),
-    T: float = 4.0,
+    net: Network, rng: int | np.random.Generator | np.random.SeedSequence
 ) -> CostSpec:
     """Draw the per-bus action-cost coefficients once for a network."""
     gen = np.random.default_rng(rng)
-    return CostSpec(gamma=gamma, c=gen.uniform(*c_range, net.n), T=T)
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioSet:
-    """Disjoint train/test scenario draws from one master seed."""
-
-    train: tuple[Scenario, ...]
-    test: tuple[Scenario, ...]
-    seed: int
+    return CostSpec(ACTION_WEIGHT, gen.uniform(*ACTION_COEFF_RANGE, net.n), COST_HORIZON)
 
 
 def make_scenarios(
@@ -119,18 +113,18 @@ def make_scenarios(
     *,
     noise_eps: float = 0.0,
     onset: float = 0.0,
-    max_buses: int = 3,
     mag_cap: float = 1.0,
 ) -> tuple[Scenario, ...]:
-    """Random disturbance scenarios: 1..max_buses step buses with magnitudes
-    U[-mag_cap, mag_cap] switching on at `onset`, fresh sinusoid basis each."""
+    """Random disturbance scenarios: 1..min(MAX_STEP_BUSES, n) step buses with
+    magnitudes U[-mag_cap, mag_cap] switching on at `onset`, fresh sinusoid
+    basis each."""
     if count < 1:
         raise ValueError("count must be >= 1")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     out = []
     for child in ss.spawn(count):
         gen = np.random.default_rng(child)
-        n_buses = int(gen.integers(1, min(max_buses, net.n) + 1))
+        n_buses = int(gen.integers(1, min(MAX_STEP_BUSES, net.n) + 1))
         buses = gen.choice(net.n, size=n_buses, replace=False)
         mags = gen.uniform(-mag_cap, mag_cap, n_buses)
         basis = make_sinusoid_basis(net.n, gen)
@@ -142,18 +136,6 @@ def make_scenarios(
         )
         out.append(Scenario(dist=dist, basis=basis))
     return tuple(out)
-
-
-def make_scenario_set(
-    net: Network, n_train: int, n_test: int, seed: int, **kwargs
-) -> ScenarioSet:
-    ss = np.random.SeedSequence(seed)
-    train_ss, test_ss = ss.spawn(2)
-    return ScenarioSet(
-        train=make_scenarios(net, n_train, train_ss, **kwargs),
-        test=make_scenarios(net, n_test, test_ss, **kwargs),
-        seed=seed,
-    )
 
 
 def transient_loss(traj: Trajectory, cost: CostSpec) -> float:
@@ -173,7 +155,7 @@ def transient_loss(traj: Trajectory, cost: CostSpec) -> float:
 
 
 def restoration_cost(
-    traj: Trajectory, window: tuple[float, float] = (10.0, 15.0)
+    traj: Trajectory, window: tuple[float, float] = RESTORE_WINDOW
 ) -> float:
     """Mean |omega| over all buses and records with window[0] <= t <= window[1]."""
     w0, w1 = window
@@ -331,21 +313,14 @@ class AdamState:
     def zeros(cls, size: int) -> "AdamState":
         return cls(np.zeros(size), np.zeros(size), 0)
 
-    def update(
-        self,
-        raw: np.ndarray,
-        grad: np.ndarray,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> np.ndarray:
+    def update(self, raw: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        beta1, beta2 = ADAM_BETAS
         self.t += 1
         self.m = beta1 * self.m + (1 - beta1) * grad
         self.v = beta2 * self.v + (1 - beta2) * grad**2
         mhat = self.m / (1 - beta1**self.t)
         vhat = self.v / (1 - beta2**self.t)
-        return raw - lr * mhat / (np.sqrt(vhat) + eps)
+        return raw - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def to_dict(self) -> dict:
         return {"m": self.m.tolist(), "v": self.v.tolist(), "t": self.t}
@@ -485,19 +460,17 @@ def gradient_check(
     *,
     pairs: int = 50,
     seed: int = 0,
-    fd_step: float = 1e-4,
     dt: float = 0.01,
     smooth_max: bool = False,
     tie_tol: float = 1e-6,
     kink_tol: float = 1e-6,
-    min_grad: float = 1e-6,
 ) -> GradientCheckReport:
     """Compare reverse-mode gradients against central finite differences.
 
     Samples (scenario, coordinate) pairs.  Scenarios whose trajectories pass
     within `kink_tol` of a breakpoint or have a near-tied per-bus maximum are
     skipped (the hard-max loss is not differentiable there), as are
-    coordinates whose derivative is below `min_grad` both ways (nothing to
+    coordinates whose derivative is below `MIN_GRAD` both ways (nothing to
     compare above the difference-quotient noise floor).
     """
     gen = np.random.default_rng(seed)
@@ -527,13 +500,13 @@ def gradient_check(
             skipped += 1
             continue
         hi, lo = raw0.copy(), raw0.copy()
-        hi[coord] += fd_step
-        lo[coord] -= fd_step
+        hi[coord] += FD_STEP
+        lo[coord] -= FD_STEP
         args = dict(dt=dt, smooth_max=smooth_max, delta_star=delta_star)
         f_hi = batch_loss(net, controller.with_raw_parameters(hi), [scen], cost, **args)
         f_lo = batch_loss(net, controller.with_raw_parameters(lo), [scen], cost, **args)
-        fd = (f_hi - f_lo) / (2 * fd_step)
-        if abs(fd) < min_grad and abs(grad[coord]) < min_grad:
+        fd = (f_hi - f_lo) / (2 * FD_STEP)
+        if abs(fd) < MIN_GRAD and abs(grad[coord]) < MIN_GRAD:
             skipped += 1
             continue
         rel = abs(fd - grad[coord]) / max(abs(fd), abs(grad[coord]))

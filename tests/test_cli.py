@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swingfreq.cli import build_parser, main
-from swingfreq.controllers import LinearController, save_controller
+from swingfreq.controllers import DroopController, LinearController, save_controller
 
 
 # every numeric entry of certificate.json, by key path; the benchmark compares
@@ -69,6 +69,21 @@ class TestSimulate:
         out = capsys.readouterr().out
         nadir = float(re.search(r"nadir\s+(\S+) rad/s", out).group(1))
         assert nadir <= 1e-10
+
+    def test_no_disturbance_refuses_noise(self, tmp_path, capsys):
+        rc = main(["simulate", "--case", "two_bus", "--no-disturbance", "--noise", "0.2",
+                   "--horizon", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--no-disturbance" in err and "--noise 0.2" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        rc = main(["simulate", "--case", "two_bus", "--checkpoint", str(path),
+                   "--horizon", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: controller file not found: {path}\n"
 
     def test_missing_case_exits_2_naming_path(self, tmp_path, capsys):
         rc = main([
@@ -590,6 +605,33 @@ class TestSharedInputs:
         assert ("argument --checkpoint: not allowed with argument --controller"
                 in capsys.readouterr().err)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, default", [
+        ("simulate", "droop"), ("certify", "droop"), ("train", "adaptive"),
+    ])
+    def test_default_controller_and_checkpoint_exclude_each_other(
+        self, command, default, tmp_path, capsys
+    ):
+        # in-process the default is the same (interned) string as the flag's
+        # value; argparse must still see the flag as given
+        ckpt = tmp_path / "c.json"
+        save_controller(DroopController.initial(2), ckpt)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--case", "two_bus", "--controller", default,
+                  "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert ("argument --checkpoint: not allowed with argument --controller"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_controller_default_per_command(self, tmp_path, capsys):
+        assert main(["simulate", "--case", "two_bus", "--horizon", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert "controller droop" in capsys.readouterr().out
+        assert main(["train", "--case", "two_bus", "--epochs", "0", "--scenarios", "1",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert doc["config"]["controller_type"] == "adaptive"
 
     def test_euler_and_rk4_exclude_each_other(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from swingfreq.cli import _load_checkpoint
 from swingfreq.controllers import (
     AdaptiveController,
     ControllerError,
@@ -15,7 +17,6 @@ from swingfreq.controllers import (
     controller_to_dict,
     default_breakpoints,
     inv_softplus,
-    load_controller,
     save_controller,
     softplus,
 )
@@ -323,6 +324,13 @@ class TestSaturation:
             )
 
 
+def read_controller(path):
+    """A bare controller file through the CLI's one reader of controller files."""
+    ctrl, adam, config, losses = _load_checkpoint(path)
+    assert (adam, config, losses) == (None, None, [])
+    return ctrl
+
+
 class TestSerialization:
     def controllers(self):
         rng = np.random.default_rng(17)
@@ -339,7 +347,7 @@ class TestSerialization:
         for k, ctrl in enumerate(self.controllers()):
             path = tmp_path / f"c{k}.json"
             save_controller(ctrl, path)
-            again = load_controller(path)
+            again = read_controller(path)
             assert type(again) is type(ctrl)
             np.testing.assert_array_equal(
                 again.raw_parameters(), ctrl.raw_parameters()
@@ -369,12 +377,14 @@ class TestSerialization:
     def test_document_error_names_the_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"type": "droop"}))
-        with pytest.raises(ControllerError, match=f"{path}.*'raw_gain'"):
-            load_controller(path)
+        with pytest.raises(ControllerError, match=f"{re.escape(str(path))}.*'raw_gain'"):
+            read_controller(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ControllerError, match="not found"):
-            load_controller(tmp_path / "absent.json")
+        path = tmp_path / "absent.json"
+        want = f"^controller file not found: {re.escape(str(path))}$"
+        with pytest.raises(ControllerError, match=want):
+            read_controller(path)
 
 
 @pytest.mark.parametrize("make, key", [

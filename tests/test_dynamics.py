@@ -11,13 +11,13 @@ from swingfreq.controllers import (
     SaturatedController,
 )
 from swingfreq.dynamics import (
+    DT_REF,
     BasisSignal,
     Disturbance,
     IntegrationError,
     Scenario,
     ScenarioStack,
     SystemState,
-    equilibrium_state,
     make_constant_basis,
     make_sinusoid_basis,
     rollout,
@@ -59,7 +59,7 @@ class TestBasisSignal:
     def test_feature_index_is_time_over_dt_ref(self):
         basis = make_sinusoid_basis(2, 5)
         t = 0.73
-        expected = np.sin(t / basis.dt_ref * basis.eta)
+        expected = np.sin(t / DT_REF * basis.eta)
         np.testing.assert_allclose(basis.features(t)[:, :2], expected, atol=1e-15)
 
     def test_injection_variation_dot_product(self):
@@ -123,10 +123,16 @@ class TestDisturbance:
             dist.injection(3, 0.0, 0.01)
 
 
+def at_rest(delta_star, n_features=0):
+    """The equilibrium angles with zero deviation and zero estimates."""
+    n = delta_star.shape[0]
+    return SystemState(delta_star, np.zeros(n), np.zeros((n, n_features)))
+
+
 class TestStep:
     def test_equilibrium_is_fixed_point(self, two_bus, two_bus_eq):
         ctrl = DroopController.initial(2)
-        state = equilibrium_state(two_bus, ctrl, two_bus_eq)
+        state = at_rest(two_bus_eq)
         basis = make_constant_basis(2)
         nxt = step(two_bus, state, ctrl, basis, dt=0.01)
         assert np.abs(nxt.delta - state.delta).max() <= 1e-12
@@ -163,7 +169,7 @@ class TestStep:
 
     def test_unknown_method(self, two_bus, two_bus_eq):
         ctrl = DroopController.initial(2)
-        state = equilibrium_state(two_bus, ctrl, two_bus_eq)
+        state = at_rest(two_bus_eq)
         with pytest.raises(ValueError, match="unknown integration method"):
             step(two_bus, state, ctrl, make_constant_basis(2), method="verlet")
 
@@ -293,7 +299,7 @@ class TestRolloutBatch:
         ctrl = AdaptiveController.initial(MonotonePWLController.initial(ne39.n), 3)
         for s in self.battery(ne39, ne39_eq):
             traj = rollout(ne39, ctrl, s.basis, s.dist, horizon=1.0, x0=s.x0)
-            state = s.x0 or equilibrium_state(ne39, ctrl, ne39_eq)
+            state = s.x0 or at_rest(ne39_eq, ctrl.n_features)
             rng = np.random.default_rng(s.dist.seed)
             for k in range(100):
                 np.testing.assert_allclose(traj.omega[k], state.omega, rtol=0, atol=1e-12)
@@ -303,7 +309,7 @@ class TestRolloutBatch:
 
     def test_injection_stream_matches_lone_draws(self, ne39, ne39_eq):
         # each row is the scenario's own step injection plus its own noise
-        # stream, drawn per step; longer than one noise block
+        # stream, drawn per step
         scens = self.battery(ne39, ne39_eq)
         dt, n_steps = 0.01, 150
         stack = ScenarioStack(ne39, scens, dt, n_steps, 3, ne39_eq)

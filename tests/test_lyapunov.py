@@ -240,16 +240,6 @@ class TestDecrease:
         with pytest.raises(CertificationError, match="too short"):
             fit_margin_constant([traj], two_bus, [scen], ctrl, two_bus_eq)
 
-    def test_safety_scales_tolerance(self, two_bus, two_bus_eq):
-        ctrl = DroopController.initial(2)
-        dist = Disturbance(steps=((0, 0.3, 0.0),))
-        basis = make_sinusoid_basis(2, 31)
-        traj = rollout(two_bus, ctrl, basis, dist, horizon=3.0, dt=0.01)
-        scen = Scenario(dist, basis)
-        f1 = fit_margin_constant([traj], two_bus, [scen], ctrl, two_bus_eq, safety=2.0)
-        f2 = fit_margin_constant([traj], two_bus, [scen], ctrl, two_bus_eq, safety=4.0)
-        assert f2.tol_coeff == pytest.approx(2.0 * f1.tol_coeff, rel=1e-12)
-
     def test_batch_row_gets_the_rollout_verdict(self, two_bus, two_bus_eq):
         # the step schedule comes from the scenario, so a rollout_batch row,
         # which carries no metadata, is split at the same onset

@@ -25,7 +25,6 @@ from swingfreq.training import (
     grad_loss,
     gradient_check,
     make_cost_spec,
-    make_scenario_set,
     make_scenarios,
     restoration_cost,
     train,
@@ -135,13 +134,6 @@ class TestScenarios:
     def test_small_network_caps_buses(self, two_bus):
         scens = make_scenarios(two_bus, 50, 9)
         assert max(len(s.dist.steps) for s in scens) <= 2
-
-    def test_split_disjoint_seeds(self, two_bus):
-        ss = make_scenario_set(two_bus, 4, 4, 7)
-        train_seeds = {s.dist.seed for s in ss.train}
-        test_seeds = {s.dist.seed for s in ss.test}
-        assert not train_seeds & test_seeds
-        assert ss.seed == 7
 
 
 class TestBatchEngine:
