@@ -109,6 +109,8 @@ def _load_checkpoint(path: str | Path):
         doc = json.loads(p.read_text())
     except FileNotFoundError:
         raise ControllerError(f"controller file not found: {p}") from None
+    except OSError as exc:
+        raise ControllerError(f"cannot read controller file {path!r}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ControllerError(f"malformed checkpoint {p}: {exc}") from None
     if not isinstance(doc, dict):

@@ -274,10 +274,9 @@ class MonotonePWLController(Controller):
         )
 
     @classmethod
-    def initial(
-        cls, n: int, slope: float = 0.5, breakpoints: np.ndarray | None = None
-    ) -> "MonotonePWLController":
-        bp = default_breakpoints() if breakpoints is None else np.asarray(breakpoints)
+    def initial(cls, n: int, slope: float = 0.5) -> "MonotonePWLController":
+        """Slope `slope` on every segment of the `default_breakpoints` grid."""
+        bp = default_breakpoints()
         raw = np.full((n, bp.size + 1), float(inv_softplus(slope)))
         return cls(bp, raw)
 

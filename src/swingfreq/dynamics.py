@@ -9,8 +9,8 @@ the adaptive estimates of the active controller:
 
 with net injection p_i(t) = p_star_i + phi_i(t).a_i plus step disturbances
 and optional per-step uniform noise.  The default integrator is classical
-RK4 with the smooth basis evaluated at sub-stage times; explicit Euler is
-available behind a flag and is the forward pass the training module
+RK4, which needs the smooth basis at every step and half step; explicit
+Euler is available behind a flag and is the forward pass the training module
 differentiates through.  Step injections and noise are held constant across
 one integration step (zero-order hold anchored at the step start), so
 trajectories are piecewise-smooth with breakpoints exactly on the recording
@@ -19,18 +19,25 @@ grid.
 Angles are re-projected to the COI gauge (zero mean) after every step.
 
 There is one integrator, `_integrate`: it advances a `ScenarioStack` (the one
-path from scenarios to stacked arrays: a stacked `BasisSignal` and one
-stream of per-step injections) with state shape (B, n), evaluating features,
-injections and the controller for every scenario in one call per stage, and
-returns time-major histories of what it is asked to record, or hands each
-record's state to an observer.  `rollout_batch` wraps it for scenario
-batteries, `rollout` is the batch-of-one case, `step` advances a lone state
-through the same stage code, training calls `_integrate` directly for its
-Euler forward pass, and certification observes instead of recording.
+path from scenarios to stacked arrays: a stacked `BasisSignal`, one stream
+of per-step injections and one blocked forcing stream) with state shape
+(B, n), evaluating injections and the controller for every scenario in one
+call per stage, and returns time-major histories of what it is asked to
+record, or hands each record's state to an observer.  The forcing stream
+builds phi and phi.a for `FORCING_ROWS` stage rows at a time: the first row
+of a block by `np.sin`, the rest by rotation, so rounding restarts at every
+block and a block regenerated later (the adjoint does this) is bit-identical.
+RK4's last stage and the next step's first stage share a row.
+`rollout_batch` wraps the integrator for scenario batteries, `rollout` is
+the batch-of-one case, `step` advances a lone state through the same stage
+code with its own per-stage features, training calls `_integrate` directly
+for its Euler forward pass, and certification observes instead of
+recording.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -57,6 +64,11 @@ __all__ = [
 ]
 
 DT_REF = 0.01  # simulated seconds per step of the basis feature index
+# stage rows per forcing block: Euler steps, or RK4 half steps.  A stack's
+# block buffer (phi, phi.a and the complex rotation rows) is 1.0 MB at
+# B = 25 on ne39 with a two-sinusoid basis, 0.4 MB at B = 10
+FORCING_ROWS = 16
+SUBSTAGES = {"euler": 1, "rk4": 2}  # stage rows per step of each method
 
 
 class IntegrationError(RuntimeError):
@@ -234,8 +246,9 @@ def _step_table(
 class ScenarioStack:
     """A scenario battery as stacked arrays, one row per scenario in order.
 
-    `basis` stacks the scenarios' bases, (B, n, l); `injections()` streams
-    each step's step-plus-noise injection, (B, n), each noisy row drawing its
+    `basis` stacks the scenarios' bases, (B, n, l); `forcing()` builds phi
+    and phi.a a block of stage rows at a time; `injections()` streams each
+    step's step-plus-noise injection, (B, n), each noisy row drawing its
     step's noise from its own seeded stream, as a lone rollout of that
     scenario draws it; `delta0`, `omega0` (B, n) and `a0` (B, n, l_ctrl) are
     the initial states; `steps` is the battery's `_step_table`.  Nothing here
@@ -282,29 +295,105 @@ class ScenarioStack:
                 if s.x0.a_hat.shape != (n, ctrl_features):
                     raise ValueError("initial estimates do not fit the controller")
                 self.a0[b] = s.x0.a_hat
+        self._block: tuple | None = None  # (sub, rotations, block buffers)
 
     def injections(self) -> Iterator[np.ndarray]:
-        """Step plus noise injection of steps 0, 1, ..., each (B, n) and held
-        across its step; every call restarts the noise streams from the seeds."""
+        """Step plus noise injection of steps 0, 1, ..., n_steps, each (B, n)
+        and held across its step; every call restarts the noise streams from
+        the seeds.  Noise is drawn `FORCING_ROWS` steps at a time, the same
+        stream as one draw per step."""
         gens = [(b, np.random.default_rng(seed), eps) for b, seed, eps in self._noisy]
-        steps, k = self.steps[0], 0
-        while True:
-            steps = self.steps.get(k, steps)
-            p = steps.copy() if gens else steps
-            for b, gen, eps in gens:
-                p[b] += gen.uniform(-eps, eps, self.n)
-            yield p
-            k += 1
+        steps = self.steps[0]
+        for k0 in range(0, self.n_steps + 1, FORCING_ROWS):
+            rows = min(FORCING_ROWS, self.n_steps + 1 - k0)
+            noise = [(b, gen.uniform(-eps, eps, (rows, self.n))) for b, gen, eps in gens]
+            for j in range(rows):
+                steps = self.steps.get(k0 + j, steps)
+                p = steps.copy() if gens else steps
+                for b, draws in noise:
+                    p[b] += draws[j]
+                yield p
+
+    def forcing(self, block: int, sub: int) -> tuple[np.ndarray, np.ndarray]:
+        """phi and phi.a at the stage rows of forcing block `block`.
+
+        Stage row r sits at time r * dt / sub; the block holds rows
+        block * FORCING_ROWS onwards, up to the horizon's row n_steps * sub.
+        Returns phi (rows, B, n, l) and phi.a (rows, B, n).  The first row is
+        `basis.features` at the block's first step, computed the same way;
+        row j is that row turned by j stage rows, doubling the rows filled
+        with the turns exp(i L g eta) by L = 1, 2, 4, ... rows (g = dt / sub
+        in basis index units), so rows stay within a few ulp of
+        `basis.features` and a block is bit-identical each time it is built.
+        Both arrays are views of the stack's one block buffer, valid until the
+        next call: a fresh block of this size is page-faulted in on every call.
+        """
+        r0 = block * FORCING_ROWS
+        rows = min(FORCING_ROWS, self.n_steps * sub + 1 - r0)
+        eta, coeffs = self.basis.eta, self.basis.coeffs
+        m = eta.shape[-1]
+        if self._block is None or self._block[0] != sub:
+            span = 2.0 ** np.arange((FORCING_ROWS - 1).bit_length())
+            angle = (span * self.dt / sub / DT_REF)[:, None, None, None] * eta
+            phi = np.empty((FORCING_ROWS,) + coeffs.shape)
+            phi[..., m] = 1.0
+            self._block = (
+                sub,
+                np.cos(angle) + 1j * np.sin(angle),
+                phi,
+                np.empty(phi.shape[:-1]),
+                np.empty((FORCING_ROWS,) + eta.shape, dtype=complex),
+            )
+        _, turns, *buffers = self._block
+        phi, smooth, z = (x[:rows] for x in buffers)
+        if m:
+            angle = (r0 // sub * self.dt / DT_REF) * eta
+            z[0].real, z[0].imag = np.cos(angle), np.sin(angle)
+            span = 1
+            for turn in turns:
+                if span >= rows:
+                    break
+                end = min(2 * span, rows)
+                np.multiply(z[: end - span], turn, out=z[span:end])
+                span = end
+            for j in range(m):  # one feature at a time: long strided loops
+                phi[..., j] = z[..., j].imag
+        # phi.a summed feature by feature, as (phi * coeffs).sum(-1) sums it;
+        # z's real part is the scratch
+        np.multiply(phi[..., 0], coeffs[..., 0], out=smooth)
+        for j in range(1, m + 1):
+            smooth += np.multiply(phi[..., j], coeffs[..., j], out=z[..., 0].real)
+        return phi, smooth
 
 
-def _forcing(net: Network, controller: Controller, basis: BasisSignal, t: float, p_extra):
-    """Net injection and the controller's feature view at time t.
-
-    `basis` is one scenario's signal, or a battery's stacked signal.
-    """
+def _forcing(net: Network, controller: Controller, basis: BasisSignal, t: float):
+    """Smooth injection p_star + phi.a and the controller's feature view at
+    time t, for one scenario's basis."""
     phi = basis.features(t)
-    p = net.p_star + (phi * basis.coeffs).sum(axis=-1) + p_extra
-    return p, controller.select_features(phi)
+    return net.p_star + (phi * basis.coeffs).sum(axis=-1), controller.select_features(phi)
+
+
+def _forcing_rows(net: Network, controller: Controller, stack: ScenarioStack, sub: int):
+    """`_forcing` of a stacked battery at stage rows 0, 1, ..., n_steps * sub,
+    built one `ScenarioStack.forcing` block at a time.
+
+    Rows are views of the stack's block buffer, except a block's last row:
+    an RK4 step still uses it after the next block is built, so it is a copy.
+    """
+    for block in itertools.count():
+        phi, smooth = stack.forcing(block, sub)
+        smooth += net.p_star
+        view = controller.select_features(phi)
+        last = smooth.shape[0] - 1
+        for j in range(last):
+            yield smooth[j], None if view is None else view[j]
+        yield smooth[last].copy(), None if view is None else view[last].copy()
+
+
+def _substages(method: str) -> int:
+    if method not in SUBSTAGES:
+        raise ValueError(f"unknown integration method {method!r}")
+    return SUBSTAGES[method]
 
 
 def _derivs(net, controller, delta, omega, a_hat, p, view):
@@ -321,25 +410,28 @@ def _stage(a, h, d_a):
     return a if d_a is None else a + h * d_a
 
 
-def _advance(net, controller, basis, d, w, a, t, dt, p_extra, method, k1):
-    """One integration step from t; p_extra is held constant across sub-stages."""
-    if method == "euler":
+def _advance(net, controller, d, w, a, dt, p_extra, k1, mid=None, end=None):
+    """One Euler step, or one RK4 step given the `_forcing` rows at the half
+    step (`mid`) and the step end (`end`); p_extra is held across stages."""
+    if mid is None:
         nd, nw, na = d + dt * k1[0], w + dt * k1[1], _stage(a, dt, k1[2])
-    elif method == "rk4":
+    else:
         h = dt / 2
-        mid = _forcing(net, controller, basis, t + h, p_extra)  # k2 and k3 share it
-        k2 = _derivs(net, controller, d + h * k1[0], w + h * k1[1], _stage(a, h, k1[2]), *mid)
-        k3 = _derivs(net, controller, d + h * k2[0], w + h * k2[1], _stage(a, h, k2[2]), *mid)
+        p_mid = mid[0] + p_extra  # k2 and k3 share it
+        k2 = _derivs(
+            net, controller, d + h * k1[0], w + h * k1[1], _stage(a, h, k1[2]), p_mid, mid[1]
+        )
+        k3 = _derivs(
+            net, controller, d + h * k2[0], w + h * k2[1], _stage(a, h, k2[2]), p_mid, mid[1]
+        )
         k4 = _derivs(
             net, controller, d + dt * k3[0], w + dt * k3[1], _stage(a, dt, k3[2]),
-            *_forcing(net, controller, basis, t + dt, p_extra),
+            end[0] + p_extra, end[1],
         )
         sixth = dt / 6
         nd = d + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         nw = w + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         na = a if k1[2] is None else a + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    else:
-        raise ValueError(f"unknown integration method {method!r}")
     return coi_project(nd), nw, na
 
 
@@ -379,10 +471,13 @@ def step(
         if dist.noise_eps > 0 and rng is not None:
             p_extra = p_extra + rng.uniform(-dist.noise_eps, dist.noise_eps, net.n)
     d, w, a = state.delta, state.omega, state.a_hat
+    stage_times = (t, t + dt / 2, t + dt) if _substages(method) == 2 else (t,)
+    rows = [_forcing(net, controller, basis, s) for s in stage_times]
     # as in _integrate: overflow is the divergence, reported once below
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _derivs(net, controller, d, w, a, *_forcing(net, controller, basis, t, p_extra))
-        d, w, a = _advance(net, controller, basis, d, w, a, t, dt, p_extra, method, k1)
+        smooth, view = rows[0]
+        k1 = _derivs(net, controller, d, w, a, smooth + p_extra, view)
+        d, w, a = _advance(net, controller, d, w, a, dt, p_extra, k1, *rows[1:])
     _check_finite(d, w, a, round(t / dt) + 1, t + dt)
     return SystemState(d, w, a)
 
@@ -462,10 +557,13 @@ def _integrate(
     for the names in `record`; time-major keeps each step's batch contiguous
     for the adjoint sweep.  `observe`, when given, is called at every record
     as observe(k, delta, omega, a_hat) with the (B, ...) state, so a caller
-    can reduce the run as it goes instead of recording it.  Raises
-    IntegrationError naming scenario and step.
+    can reduce the run as it goes instead of recording it.  Features come
+    from the stack's forcing stream; an RK4 step's end row is the next
+    step's first.  Raises IntegrationError naming scenario and step.
     """
     n_steps, dt = stack.n_steps, stack.dt
+    rows = _forcing_rows(net, controller, stack, _substages(method))
+    row, mid = next(rows), None
     B, n, l = stack.B, stack.n, controller.n_features
     hist = {
         name: np.empty((n_steps + 1, B, n) + ((l,) if name == "a_hat" else ()))
@@ -475,10 +573,9 @@ def _integrate(
     # overflow on the way to a non-finite state is the divergence itself;
     # _check_finite reports it once, as IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, p_extra in zip(range(n_steps + 1), stack.injections()):
-            t = k * dt
-            p, view = _forcing(net, controller, stack.basis, t, p_extra)
-            k1 = _derivs(net, controller, d, w, a, p, view)
+        for k, p_extra in enumerate(stack.injections()):
+            p = row[0] + p_extra
+            k1 = _derivs(net, controller, d, w, a, p, row[1])
             now = {"delta": d, "omega": w, "u": k1[3], "p": p, "a_hat": a}
             for name, arr in hist.items():
                 arr[k] = now[name]
@@ -486,8 +583,11 @@ def _integrate(
                 observe(k, d, w, a)
             if k == n_steps:
                 break
-            d, w, a = _advance(net, controller, stack.basis, d, w, a, t, dt, p_extra, method, k1)
-            _check_finite(d, w, a, k + 1, t + dt)
+            if method == "rk4":
+                mid = next(rows)
+            row = next(rows)
+            d, w, a = _advance(net, controller, d, w, a, dt, p_extra, k1, mid, row)
+            _check_finite(d, w, a, k + 1, k * dt + dt)
     return hist
 
 

@@ -13,12 +13,14 @@ use its RK4 case.  gamma, the range the per-bus c_i are drawn from and the
 loss horizon are module constants (`make_cost_spec`).  The backward pass
 walks the same recurrence with hand-written vector-Jacobian products for
 every term: network coupling via Hessian-vector products, controller terms
-via the hooks the controllers expose.  It keeps only the angle, frequency and control histories, so
-memory stays linear in the horizon; it recomputes the features per step and
-takes the controller terms that do not feed the recurrence once per block of
-`ADJOINT_BLOCK` steps.  The max is handled as a hard max with the subgradient
-placed at the earliest maximizing sample; a log-sum-exp softening is
-available behind a flag.
+via the hooks the controllers expose.  It keeps only the angle, frequency and
+control histories, so memory stays linear in the horizon.  It rebuilds the
+forward pass's forcing blocks in reverse, bit for bit from the same
+restarts, and takes the controller terms that do not feed the recurrence
+and the action seed once per block of `ADJOINT_BLOCK` steps.  The max is
+handled as a hard max with the subgradient placed at the earliest
+maximizing sample, a single seed per bus; a log-sum-exp softening, with a
+dense seed, is available behind a flag.
 
 Everything is deterministic given the seeds: scenario draws come from
 spawned `SeedSequence` children, and the per-epoch shuffle is keyed by
@@ -39,6 +41,7 @@ from .controllers import (
     SaturatedController,
 )
 from .dynamics import (
+    FORCING_ROWS,
     Disturbance,
     IntegrationError,
     Scenario,
@@ -77,6 +80,7 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 FD_STEP = 1e-4  # central-difference step of `gradient_check`
 MIN_GRAD = 1e-6  # `gradient_check` skips derivatives below this both ways
+GRAD_TOL = 1e-4  # largest relative error `GradientCheckReport.ok` accepts
 # adjoint steps per control_wrt_omega / control_vjp_raw call; the buffered
 # (32, 25, 39) bar_u is 0.25 MB
 ADJOINT_BLOCK = 32
@@ -173,9 +177,9 @@ def restoration_cost(
 def _forward(net, controller, scenarios, dt, T, delta_star):
     """Euler rollout of the batch through the dynamics core.
 
-    Returns the scenario stack (the adjoint reads its features again) and the
-    time-major histories the adjoint needs: delta and omega (K+1, B, n) and
-    the K controls that drive the steps.
+    Returns the scenario stack (the adjoint rebuilds its forcing blocks) and
+    the time-major histories the adjoint needs: delta and omega (K+1, B, n)
+    and the K controls that drive the steps.
     """
     if isinstance(controller, SaturatedController):
         raise ControllerError("training through saturation is not supported")
@@ -186,65 +190,80 @@ def _forward(net, controller, scenarios, dt, T, delta_star):
 
 
 def _loss_terms(omega_h, u_h, cost: CostSpec, dt, smooth_max: bool):
-    """Batch-mean loss plus the loss seeds on the omega and u histories."""
-    B = omega_h.shape[1]
+    """Batch-mean loss plus the loss seed on the omega history.
+
+    The seed maps a record k to (flat (B, n) indices, values) where it is
+    nonzero.  The hard max's seed is sign / B at each bus's earliest
+    maximizer k*, so most records have none; the smooth max's is dense.  The
+    seed on u, 2 gamma c u dt / B, the adjoint forms per block.
+    """
+    K1, B = omega_h.shape[:2]
     if smooth_max:
         absw = np.abs(omega_h)
         m = absw.max(axis=0)
         z = np.exp(SMOOTH_MAX_TEMP * (absw - m))
         zsum = z.sum(axis=0)
         peak = m + np.log(zsum) / SMOOTH_MAX_TEMP
-        seed_w = np.sign(omega_h) * z / zsum / B
+        dense = (np.sign(omega_h) * z / zsum / B).reshape(K1, -1)
+        seed_w = {k: (slice(None), dense[k]) for k in range(K1)}
     else:
-        # the seed is zero off the earliest maximizer: scatter it there instead
-        # of building dense (K+1, B, n) masks beside the histories
-        kstar = np.abs(omega_h).argmax(axis=0)[None]
-        w_star = np.take_along_axis(omega_h, kstar, axis=0)
-        peak = np.abs(w_star[0])
-        seed_w = np.zeros_like(omega_h)
-        np.put_along_axis(seed_w, kstar, np.sign(w_star) / B, axis=0)
+        kstar = np.abs(omega_h).argmax(axis=0)
+        w_star = np.take_along_axis(omega_h, kstar[None], axis=0)[0]
+        peak = np.abs(w_star)
+        at: dict[int, list[int]] = {}
+        for i, k in enumerate(kstar.ravel().tolist()):
+            at.setdefault(k, []).append(i)
+        value = np.sign(w_star).ravel() / B
+        seed_w = {k: (idx, value[idx]) for k, idx in at.items()}
     action = (u_h**2).sum(axis=0) * dt
     loss_b = peak.sum(axis=-1) + cost.gamma * (cost.c * action).sum(axis=-1)
-    seed_u = 2.0 * cost.gamma * cost.c * u_h * dt / B
-    return float(loss_b.mean()), seed_w, seed_u
+    return float(loss_b.mean()), seed_w
 
 
-def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, seed_w, seed_u):
+def _add_seed(lam_w: np.ndarray, seed_w: dict, k: int) -> None:
+    """Add record k's omega seed to lam_w in place."""
+    if k in seed_w:
+        idx, value = seed_w[k]
+        lam_w.reshape(-1)[idx] += value
+
+
+def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, u_h, seed_w, cost):
     """Adjoint sweep of the Euler recurrence; returns the raw-parameter gradient."""
-    K, n = stack.n_steps, stack.n
+    K, n, B = stack.n_steps, stack.n, stack.B
     adaptive = isinstance(controller, AdaptiveController)
     grad = np.zeros(controller.raw_parameters().size)
     # the adaptation VJP feeds the rate block only; accumulate it in place
     grad_rate = grad[controller.rate_block] if adaptive else None
-    lam_d = np.zeros((stack.B, n))
-    lam_w = seed_w[K].copy()
-    lam_a = np.zeros((stack.B, n, controller.n_features))
-    bar_u_block = np.empty((min(ADJOINT_BLOCK, K), stack.B, n))
+    lam_d = np.zeros((B, n))
+    lam_w = np.zeros((B, n))
+    _add_seed(lam_w, seed_w, K)
+    lam_a = np.zeros((B, n, controller.n_features))
+    bar_u_block = np.empty((min(ADJOINT_BLOCK, K), B, n))
     dt = stack.dt
+    f_block = None  # the forcing block `view` holds, rebuilt as the forward built it
     for k1 in range(K, 0, -ADJOINT_BLOCK):
         k0 = max(k1 - ADJOINT_BLOCK, 0)
         du_dw = controller.control_wrt_omega(omega_h[k0:k1])
+        seed_u = 2.0 * cost.gamma * cost.c * u_h[k0:k1] * dt / B
         for k in range(k1 - 1, k0 - 1, -1):
             delta, omega = delta_h[k], omega_h[k]
             # the zero-mean projection is symmetric and idempotent, so both the
             # delta->delta and omega->delta branches pull back through it once
             lam_dp = coi_project(lam_d)
             g_m = lam_w / net.M
-            bar_u = np.add(-dt * g_m, seed_u[k], out=bar_u_block[k - k0])
+            bar_u = np.add(-dt * g_m, seed_u[k - k0], out=bar_u_block[k - k0])
             new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta, g_m)
-            new_lam_w = (
-                lam_w
-                + seed_w[k]
-                + dt * lam_dp
-                - dt * net.D * g_m
-                + bar_u * du_dw[k - k0]
-            )
+            _add_seed(lam_w, seed_w, k)  # after g_m, which takes lam_w without it
+            new_lam_w = lam_w + dt * lam_dp - dt * net.D * g_m + bar_u * du_dw[k - k0]
             if adaptive:
-                view = controller.select_features(stack.basis.features(k * dt))
-                g_a, bar_w = controller.adaptation_vjp(omega, view, dt * lam_a)
+                if k // FORCING_ROWS != f_block:
+                    f_block = k // FORCING_ROWS
+                    view = controller.select_features(stack.forcing(f_block, 1)[0])
+                phi = view[k % FORCING_ROWS]
+                g_a, bar_w = controller.adaptation_vjp(omega, phi, dt * lam_a)
                 grad_rate += g_a
                 new_lam_w += bar_w
-                lam_a = lam_a + controller.control_vjp_ahat(view, bar_u)
+                lam_a = lam_a + controller.control_vjp_ahat(phi, bar_u)
             lam_d, lam_w = new_lam_d, new_lam_w
             if not np.isfinite(lam_w).all():
                 raise IntegrationError(f"non-finite adjoint at step {k}")
@@ -291,8 +310,8 @@ def grad_loss(
         stack, delta_h, omega_h, u_h = _forward(
             net, controller, scenarios, dt, cost.T, delta_star
         )
-        loss, seed_w, seed_u = _loss_terms(omega_h, u_h, cost, dt, smooth_max)
-        grad = _backward(net, controller, stack, delta_h, omega_h, seed_w, seed_u)
+        loss, seed_w = _loss_terms(omega_h, u_h, cost, dt, smooth_max)
+        grad = _backward(net, controller, stack, delta_h, omega_h, u_h, seed_w, cost)
     if not np.all(np.isfinite(grad)):
         raise IntegrationError("non-finite gradient in the adjoint sweep")
     return loss, grad
@@ -430,8 +449,8 @@ class GradientCheckReport:
     max_rel_err: float
     n_skipped: int
 
-    def ok(self, tol: float = 1e-4) -> bool:
-        return self.max_rel_err <= tol
+    def ok(self) -> bool:
+        return self.max_rel_err <= GRAD_TOL
 
 
 def _near_kink_or_tie(

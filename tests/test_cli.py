@@ -85,6 +85,17 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err == f"error: controller file not found: {path}\n"
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--controller"])
+    def test_unreadable_controller_path_exits_2_naming_it(self, tmp_path, capsys, flag):
+        # a directory, and an empty spec, which names the current directory
+        path = str(tmp_path) if flag == "--checkpoint" else ""
+        rc = main(["simulate", "--case", "two_bus", flag, path,
+                   "--horizon", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read controller file {path!r}: Is a directory\n"
+        )
+
     def test_missing_case_exits_2_naming_path(self, tmp_path, capsys):
         rc = main([
             "simulate", "--case", "/nowhere/missing.json", "--out", str(tmp_path),

@@ -12,6 +12,8 @@ from swingfreq.controllers import (
 )
 from swingfreq.dynamics import (
     DT_REF,
+    FORCING_ROWS,
+    SUBSTAGES,
     BasisSignal,
     Disturbance,
     IntegrationError,
@@ -382,6 +384,56 @@ class TestRolloutBatch:
         k = lone.value.args[0].split("step ")[1].split()[0]
         with pytest.raises(IntegrationError, match=rf"in scenario 1 at step {k} "):
             rollout_batch(two_bus, ctrl, [quiet, kicked], horizon=8.0, method="euler")
+
+
+class TestForcingStream:
+    @staticmethod
+    def stack(net, delta_star, dt, n_steps, bases):
+        scens = [Scenario(Disturbance(), b) for b in bases]
+        return ScenarioStack(net, scens, dt, n_steps, 3, delta_star)
+
+    @pytest.mark.parametrize(
+        "method, dt", [("euler", 0.01), ("rk4", 0.01), ("rk4", 0.005)]
+    )
+    def test_rows_match_features(self, ne39, ne39_eq, method, dt):
+        # RK4 rows sit at half steps: half basis indices at dt 0.01, quarter
+        # indices at dt 0.005; the horizon ends in a partial block
+        sub = SUBSTAGES[method]
+        n_steps = (3 * FORCING_ROWS + 7) // sub
+        bases = [make_sinusoid_basis(ne39.n, seed) for seed in range(3)]
+        stack = self.stack(ne39, ne39_eq, dt, n_steps, bases)
+        n_rows = n_steps * sub + 1
+        assert n_rows % FORCING_ROWS and n_rows > 3 * FORCING_ROWS
+        got = []
+        for block in range(-(-n_rows // FORCING_ROWS)):
+            phi, var = stack.forcing(block, sub)
+            np.testing.assert_allclose(
+                var, (phi * stack.basis.coeffs).sum(axis=-1), rtol=0, atol=1e-15
+            )
+            got.append(phi.copy())
+        got = np.concatenate(got)
+        assert got.shape[0] == n_rows
+        want = stack.basis.features(np.arange(n_rows) * (dt / sub))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_constant_basis_rows(self, ne39, ne39_eq):
+        bases = [make_constant_basis(ne39.n, np.full(ne39.n, 0.1 * (b + 1))) for b in range(2)]
+        stack = self.stack(ne39, ne39_eq, 0.01, 40, bases)
+        for block in range(2):
+            phi, var = stack.forcing(block, 1)
+            np.testing.assert_array_equal(phi, np.ones_like(phi))
+            a = stack.basis.coeffs[..., 0]
+            np.testing.assert_array_equal(var, np.broadcast_to(a, var.shape))
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    def test_block_is_rebuilt_bit_for_bit(self, ne39, ne39_eq, sub):
+        # the adjoint rebuilds each block the forward pass used
+        bases = [make_sinusoid_basis(ne39.n, seed) for seed in range(2)]
+        stack = self.stack(ne39, ne39_eq, 0.01, 3 * FORCING_ROWS, bases)
+        first = [x.copy() for x in stack.forcing(2, sub)]
+        stack.forcing(1, sub)
+        for a, b in zip(first, stack.forcing(2, sub)):
+            assert np.array_equal(a, b)
 
 
 class TestTrajectoryExport:

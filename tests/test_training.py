@@ -181,7 +181,11 @@ def per_step_grad(net, controller, scenarios, cost, dt):
     stack, delta_h, omega_h, u_h = training._forward(
         net, controller, scenarios, dt, cost.T, None
     )
-    _, seed_w, seed_u = training._loss_terms(omega_h, u_h, cost, dt, False)
+    _, peak_seeds = training._loss_terms(omega_h, u_h, cost, dt, False)
+    seed_w = np.zeros_like(omega_h)
+    for k, (idx, value) in peak_seeds.items():
+        seed_w[k].reshape(-1)[idx] = value
+    seed_u = 2.0 * cost.gamma * cost.c * u_h * dt / stack.B
     adaptive = isinstance(controller, AdaptiveController)
     grad = np.zeros(controller.raw_parameters().size)
     lam_d = np.zeros((stack.B, net.n))
@@ -248,14 +252,14 @@ class TestGradients:
         ]
         for ctrl in kinds:
             rep = gradient_check(two_bus, ctrl, scens, cost, pairs=10, seed=3)
-            assert rep.ok(1e-4), f"{type(ctrl).__name__}: {rep.max_rel_err}"
+            assert rep.ok(), f"{type(ctrl).__name__}: {rep.max_rel_err}"
 
     def test_smooth_max_variant(self, two_bus):
         cost = make_cost_spec(two_bus, 3)
         scens = make_scenarios(two_bus, 4, 5)
         ctrl = DroopController.initial(2)
         rep = gradient_check(two_bus, ctrl, scens, cost, pairs=8, seed=1, smooth_max=True)
-        assert rep.ok(1e-4)
+        assert rep.ok()
 
     def test_unreachable_pair_budget_raises(self, two_bus):
         cost = make_cost_spec(two_bus, 3)
