@@ -111,7 +111,7 @@ def _load_checkpoint(path: str | Path):
         raise ControllerError(f"controller file not found: {p}") from None
     except OSError as exc:
         raise ControllerError(f"cannot read controller file {path!r}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ControllerError(f"malformed checkpoint {p}: {exc}") from None
     if not isinstance(doc, dict):
         raise ControllerError(f"malformed checkpoint {p}: expected a JSON object")

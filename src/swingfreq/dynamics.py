@@ -23,11 +23,12 @@ path from scenarios to stacked arrays: a stacked `BasisSignal`, one stream
 of per-step injections and one blocked forcing stream) with state shape
 (B, n), evaluating injections and the controller for every scenario in one
 call per stage, and returns time-major histories of what it is asked to
-record, or hands each record's state to an observer.  The forcing stream
-builds phi and phi.a for `FORCING_ROWS` stage rows at a time: the first row
-of a block by `np.sin`, the rest by rotation, so rounding restarts at every
-block and a block regenerated later (the adjoint does this) is bit-identical.
-RK4's last stage and the next step's first stage share a row.
+record, or hands each record's state to an observer.  A stack serves one
+method; its forcing stream builds phi alone on one grid of `FORCING_ROWS`
+stage rows per block, the first row by `np.sin` and the rest by rotation, so
+a block rebuilt later (the adjoint walks them in reverse) is bit-identical.
+The integrator forms p_star + phi.a per block; RK4's last stage and the next
+step's first share a row.
 `rollout_batch` wraps the integrator for scenario batteries, `rollout` is
 the batch-of-one case, `step` advances a lone state through the same stage
 code with its own per-stage features, training calls `_integrate` directly
@@ -65,8 +66,8 @@ __all__ = [
 
 DT_REF = 0.01  # simulated seconds per step of the basis feature index
 # stage rows per forcing block: Euler steps, or RK4 half steps.  A stack's
-# block buffer (phi, phi.a and the complex rotation rows) is 1.0 MB at
-# B = 25 on ne39 with a two-sinusoid basis, 0.4 MB at B = 10
+# block buffer (phi and the complex rotation rows) is 0.87 MB at B = 25 on
+# ne39 with a two-sinusoid basis, 0.35 MB at B = 10
 FORCING_ROWS = 16
 SUBSTAGES = {"euler": 1, "rk4": 2}  # stage rows per step of each method
 
@@ -243,11 +244,18 @@ def _step_table(
     }
 
 
+def _substages(method: str) -> int:
+    if method not in SUBSTAGES:
+        raise ValueError(f"unknown integration method {method!r}")
+    return SUBSTAGES[method]
+
+
 class ScenarioStack:
     """A scenario battery as stacked arrays, one row per scenario in order.
 
-    `basis` stacks the scenarios' bases, (B, n, l); `forcing()` builds phi
-    and phi.a a block of stage rows at a time; `injections()` streams each
+    It serves one integration `method`, of `sub` stage rows per step.
+    `basis` stacks the scenarios' bases, (B, n, l); `forcing()` builds phi a
+    block of stage rows at a time; `injections()` streams each
     step's step-plus-noise injection, (B, n), each noisy row drawing its
     step's noise from its own seeded stream, as a lone rollout of that
     scenario draws it; `delta0`, `omega0` (B, n) and `a0` (B, n, l_ctrl) are
@@ -261,9 +269,11 @@ class ScenarioStack:
         scenarios: Sequence[Scenario],
         dt: float,
         n_steps: int,
+        method: str,
         ctrl_features: int,
         delta_star: np.ndarray | None = None,
     ):
+        self.method, self.sub = method, _substages(method)
         B = len(scenarios)
         if B == 0:
             raise ValueError("empty scenario batch")
@@ -295,7 +305,13 @@ class ScenarioStack:
                 if s.x0.a_hat.shape != (n, ctrl_features):
                     raise ValueError("initial estimates do not fit the controller")
                 self.a0[b] = s.x0.a_hat
-        self._block: tuple | None = None  # (sub, rotations, block buffers)
+        eta = self.basis.eta
+        span = 2.0 ** np.arange((FORCING_ROWS - 1).bit_length())
+        angle = (span * dt / self.sub / DT_REF)[:, None, None, None] * eta
+        self._turns = np.cos(angle) + 1j * np.sin(angle)
+        self._phi = np.empty((FORCING_ROWS,) + self.basis.coeffs.shape)
+        self._phi[..., -1] = 1.0
+        self._z = np.empty((FORCING_ROWS,) + eta.shape, dtype=complex)
 
     def injections(self) -> Iterator[np.ndarray]:
         """Step plus noise injection of steps 0, 1, ..., n_steps, each (B, n)
@@ -314,43 +330,29 @@ class ScenarioStack:
                     p[b] += draws[j]
                 yield p
 
-    def forcing(self, block: int, sub: int) -> tuple[np.ndarray, np.ndarray]:
-        """phi and phi.a at the stage rows of forcing block `block`.
+    def forcing(self, block: int) -> np.ndarray:
+        """phi at the stage rows of forcing block `block`, (rows, B, n, l).
 
         Stage row r sits at time r * dt / sub; the block holds rows
         block * FORCING_ROWS onwards, up to the horizon's row n_steps * sub.
-        Returns phi (rows, B, n, l) and phi.a (rows, B, n).  The first row is
-        `basis.features` at the block's first step, computed the same way;
-        row j is that row turned by j stage rows, doubling the rows filled
-        with the turns exp(i L g eta) by L = 1, 2, 4, ... rows (g = dt / sub
-        in basis index units), so rows stay within a few ulp of
+        The first row is `basis.features` at the block's first step, computed
+        the same way; row j is that row turned by j stage rows, doubling the
+        rows filled with the turns exp(i L g eta) by L = 1, 2, 4, ... rows
+        (g = dt / sub in basis index units), so rows stay within a few ulp of
         `basis.features` and a block is bit-identical each time it is built.
-        Both arrays are views of the stack's one block buffer, valid until the
+        The result is a view of the stack's one block buffer, valid until the
         next call: a fresh block of this size is page-faulted in on every call.
         """
         r0 = block * FORCING_ROWS
-        rows = min(FORCING_ROWS, self.n_steps * sub + 1 - r0)
-        eta, coeffs = self.basis.eta, self.basis.coeffs
+        rows = min(FORCING_ROWS, self.n_steps * self.sub + 1 - r0)
+        phi, z = self._phi[:rows], self._z[:rows]
+        eta = self.basis.eta
         m = eta.shape[-1]
-        if self._block is None or self._block[0] != sub:
-            span = 2.0 ** np.arange((FORCING_ROWS - 1).bit_length())
-            angle = (span * self.dt / sub / DT_REF)[:, None, None, None] * eta
-            phi = np.empty((FORCING_ROWS,) + coeffs.shape)
-            phi[..., m] = 1.0
-            self._block = (
-                sub,
-                np.cos(angle) + 1j * np.sin(angle),
-                phi,
-                np.empty(phi.shape[:-1]),
-                np.empty((FORCING_ROWS,) + eta.shape, dtype=complex),
-            )
-        _, turns, *buffers = self._block
-        phi, smooth, z = (x[:rows] for x in buffers)
         if m:
-            angle = (r0 // sub * self.dt / DT_REF) * eta
+            angle = (r0 // self.sub * self.dt / DT_REF) * eta
             z[0].real, z[0].imag = np.cos(angle), np.sin(angle)
             span = 1
-            for turn in turns:
+            for turn in self._turns:
                 if span >= rows:
                     break
                 end = min(2 * span, rows)
@@ -358,12 +360,7 @@ class ScenarioStack:
                 span = end
             for j in range(m):  # one feature at a time: long strided loops
                 phi[..., j] = z[..., j].imag
-        # phi.a summed feature by feature, as (phi * coeffs).sum(-1) sums it;
-        # z's real part is the scratch
-        np.multiply(phi[..., 0], coeffs[..., 0], out=smooth)
-        for j in range(1, m + 1):
-            smooth += np.multiply(phi[..., j], coeffs[..., j], out=z[..., 0].real)
-        return phi, smooth
+        return phi
 
 
 def _forcing(net: Network, controller: Controller, basis: BasisSignal, t: float):
@@ -373,27 +370,27 @@ def _forcing(net: Network, controller: Controller, basis: BasisSignal, t: float)
     return net.p_star + (phi * basis.coeffs).sum(axis=-1), controller.select_features(phi)
 
 
-def _forcing_rows(net: Network, controller: Controller, stack: ScenarioStack, sub: int):
+def _forcing_rows(net: Network, controller: Controller, stack: ScenarioStack):
     """`_forcing` of a stacked battery at stage rows 0, 1, ..., n_steps * sub,
     built one `ScenarioStack.forcing` block at a time.
 
-    Rows are views of the stack's block buffer, except a block's last row:
+    The injection p_star + phi.a is summed feature by feature, as
+    (phi * coeffs).sum(-1) sums it, into a fresh array per block.  Feature
+    rows are views of the stack's block buffer, except a block's last row:
     an RK4 step still uses it after the next block is built, so it is a copy.
     """
+    coeffs = stack.basis.coeffs
     for block in itertools.count():
-        phi, smooth = stack.forcing(block, sub)
-        smooth += net.p_star
+        phi = stack.forcing(block)
+        p = phi[..., 0] * coeffs[..., 0]
+        for j in range(1, coeffs.shape[-1]):
+            p += phi[..., j] * coeffs[..., j]
+        p += net.p_star
         view = controller.select_features(phi)
-        last = smooth.shape[0] - 1
+        last = p.shape[0] - 1
         for j in range(last):
-            yield smooth[j], None if view is None else view[j]
-        yield smooth[last].copy(), None if view is None else view[last].copy()
-
-
-def _substages(method: str) -> int:
-    if method not in SUBSTAGES:
-        raise ValueError(f"unknown integration method {method!r}")
-    return SUBSTAGES[method]
+            yield p[j], None if view is None else view[j]
+        yield p[last], None if view is None else view[last].copy()
 
 
 def _derivs(net, controller, delta, omega, a_hat, p, view):
@@ -548,8 +545,7 @@ def _n_steps(horizon: float, dt: float) -> int:
 
 
 def _integrate(
-    net: Network, controller: Controller, stack: ScenarioStack, method: str, record,
-    observe=None,
+    net: Network, controller: Controller, stack: ScenarioStack, record, observe=None
 ) -> dict[str, np.ndarray]:
     """Integrate a stacked battery for `stack.n_steps` steps of `stack.dt`.
 
@@ -557,12 +553,13 @@ def _integrate(
     for the names in `record`; time-major keeps each step's batch contiguous
     for the adjoint sweep.  `observe`, when given, is called at every record
     as observe(k, delta, omega, a_hat) with the (B, ...) state, so a caller
-    can reduce the run as it goes instead of recording it.  Features come
-    from the stack's forcing stream; an RK4 step's end row is the next
-    step's first.  Raises IntegrationError naming scenario and step.
+    can reduce the run as it goes instead of recording it.  The method is
+    the stack's, and injections and features come from `_forcing_rows`; an
+    RK4 step's end row is the next step's first.  Raises IntegrationError
+    naming scenario and step.
     """
     n_steps, dt = stack.n_steps, stack.dt
-    rows = _forcing_rows(net, controller, stack, _substages(method))
+    rows = _forcing_rows(net, controller, stack)
     row, mid = next(rows), None
     B, n, l = stack.B, stack.n, controller.n_features
     hist = {
@@ -583,7 +580,7 @@ def _integrate(
                 observe(k, d, w, a)
             if k == n_steps:
                 break
-            if method == "rk4":
+            if stack.method == "rk4":
                 mid = next(rows)
             row = next(rows)
             d, w, a = _advance(net, controller, d, w, a, dt, p_extra, k1, mid, row)
@@ -614,8 +611,8 @@ def rollout_batch(
     if "omega" not in record or not set(record) <= set(RECORDS):
         raise ValueError(f"record must name omega and only histories among {RECORDS}")
     n_steps = _n_steps(horizon, dt)
-    stack = ScenarioStack(net, scenarios, dt, n_steps, controller.n_features, delta_star)
-    hist = _integrate(net, controller, stack, method, record)
+    stack = ScenarioStack(net, scenarios, dt, n_steps, method, controller.n_features, delta_star)
+    hist = _integrate(net, controller, stack, record)
     t_rec = np.arange(n_steps + 1) * dt
     return tuple(
         Trajectory(t_rec, *(hist[r][:, b] if r in hist else None for r in RECORDS), dt)

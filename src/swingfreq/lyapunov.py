@@ -357,7 +357,7 @@ def stream_energy(
     """
     scenarios = tuple(scenarios)
     n_steps = _n_steps(horizon, dt)
-    stack = ScenarioStack(net, scenarios, dt, n_steps, controller.n_features, delta_star)
+    stack = ScenarioStack(net, scenarios, dt, n_steps, "rk4", controller.n_features, delta_star)
     shape = (n_steps + 1, stack.B)
     columns = [np.empty(shape) for _ in range(5)] + [np.empty(shape, dtype=int)]
     targets = _targets(controller, scenarios, stack.steps)
@@ -372,7 +372,7 @@ def stream_energy(
         for col, x in zip(columns, terms):
             col[k] = x
 
-    _integrate(net, controller, stack, "rk4", (), observe)
+    _integrate(net, controller, stack, (), observe)
     return EnergySeries(scenarios, np.arange(n_steps + 1) * dt, dt, *columns)
 
 

@@ -118,8 +118,9 @@ def _validate(net: Network) -> None:
     for label, arr in (("inertia", net.M), ("damping", net.D)):
         if arr.shape != (n,):
             raise CaseError(f"{label} array has wrong length")
-        for k in np.flatnonzero(~(arr > 0)):
-            word = "negative" if arr[k] < 0 else "zero"
+        for k in np.flatnonzero(~(np.isfinite(arr) & (arr > 0))):
+            x = arr[k]
+            word = "non-finite" if not np.isfinite(x) else "negative" if x < 0 else "zero"
             raise CaseError(f"{word} {label} at bus {net.bus_ids[k]}")
     if net.p_star.shape != (n,):
         raise CaseError("p_star array has wrong length")
@@ -139,6 +140,8 @@ def _validate(net: Network) -> None:
         a, b = net.bus_ids[i], net.bus_ids[j]
         if i == j:
             raise CaseError(f"self-loop at bus {a}")
+        if not np.isfinite(net.b_edge[e]):
+            raise CaseError(f"non-finite susceptance on line {a}-{b}")
         if net.b_edge[e] < 0:
             raise CaseError(f"negative susceptance on line {a}-{b}")
         if net.b_edge[e] == 0:
@@ -176,12 +179,12 @@ def load_case(path: str | Path, *, repair_balance: bool = False) -> Network:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise CaseError(f"case file not found: {path}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise CaseError(f"cannot read case file '{path}': {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CaseError(f"malformed case file {path}: {exc}") from None
     try:
         version = doc["version"]

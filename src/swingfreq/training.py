@@ -14,10 +14,10 @@ loss horizon are module constants (`make_cost_spec`).  The backward pass
 walks the same recurrence with hand-written vector-Jacobian products for
 every term: network coupling via Hessian-vector products, controller terms
 via the hooks the controllers expose.  It keeps only the angle, frequency and
-control histories, so memory stays linear in the horizon.  It rebuilds the
-forward pass's forcing blocks in reverse, bit for bit from the same
-restarts, and takes the controller terms that do not feed the recurrence
-and the action seed once per block of `ADJOINT_BLOCK` steps.  The max is
+control histories, so memory stays linear in the horizon.  It walks the
+forward pass's forcing blocks in reverse, rebuilding each bit for bit from
+the same restart, and takes the controller terms that do not feed the
+recurrence and the action seed once per block.  The max is
 handled as a hard max with the subgradient placed at the earliest
 maximizing sample, a single seed per bus; a log-sum-exp softening, with a
 dense seed, is available behind a flag.
@@ -81,9 +81,6 @@ ADAM_EPS = 1e-8
 FD_STEP = 1e-4  # central-difference step of `gradient_check`
 MIN_GRAD = 1e-6  # `gradient_check` skips derivatives below this both ways
 GRAD_TOL = 1e-4  # largest relative error `GradientCheckReport.ok` accepts
-# adjoint steps per control_wrt_omega / control_vjp_raw call; the buffered
-# (32, 25, 39) bar_u is 0.25 MB
-ADJOINT_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +181,8 @@ def _forward(net, controller, scenarios, dt, T, delta_star):
     if isinstance(controller, SaturatedController):
         raise ControllerError("training through saturation is not supported")
     n_steps = _n_steps(T, dt)
-    stack = ScenarioStack(net, scenarios, dt, n_steps, controller.n_features, delta_star)
-    hist = _integrate(net, controller, stack, "euler", ("delta", "omega", "u"))
+    stack = ScenarioStack(net, scenarios, dt, n_steps, "euler", controller.n_features, delta_star)
+    hist = _integrate(net, controller, stack, ("delta", "omega", "u"))
     return stack, hist["delta"], hist["omega"], hist["u"][:-1]
 
 
@@ -238,13 +235,16 @@ def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, u_h, seed
     lam_w = np.zeros((B, n))
     _add_seed(lam_w, seed_w, K)
     lam_a = np.zeros((B, n, controller.n_features))
-    bar_u_block = np.empty((min(ADJOINT_BLOCK, K), B, n))
+    bar_u_block = np.empty((min(FORCING_ROWS, K), B, n))
     dt = stack.dt
-    f_block = None  # the forcing block `view` holds, rebuilt as the forward built it
-    for k1 in range(K, 0, -ADJOINT_BLOCK):
-        k0 = max(k1 - ADJOINT_BLOCK, 0)
+    # an Euler forcing block b holds steps [b FORCING_ROWS, (b + 1) FORCING_ROWS)
+    for block in range((K - 1) // FORCING_ROWS, -1, -1):
+        k0 = block * FORCING_ROWS
+        k1 = min(k0 + FORCING_ROWS, K)
         du_dw = controller.control_wrt_omega(omega_h[k0:k1])
         seed_u = 2.0 * cost.gamma * cost.c * u_h[k0:k1] * dt / B
+        if adaptive:
+            view = controller.select_features(stack.forcing(block))
         for k in range(k1 - 1, k0 - 1, -1):
             delta, omega = delta_h[k], omega_h[k]
             # the zero-mean projection is symmetric and idempotent, so both the
@@ -256,10 +256,7 @@ def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, u_h, seed
             _add_seed(lam_w, seed_w, k)  # after g_m, which takes lam_w without it
             new_lam_w = lam_w + dt * lam_dp - dt * net.D * g_m + bar_u * du_dw[k - k0]
             if adaptive:
-                if k // FORCING_ROWS != f_block:
-                    f_block = k // FORCING_ROWS
-                    view = controller.select_features(stack.forcing(f_block, 1)[0])
-                phi = view[k % FORCING_ROWS]
+                phi = view[k - k0]
                 g_a, bar_w = controller.adaptation_vjp(omega, phi, dt * lam_a)
                 grad_rate += g_a
                 new_lam_w += bar_w

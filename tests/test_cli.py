@@ -7,6 +7,7 @@ import pytest
 
 from swingfreq.cli import build_parser, main
 from swingfreq.controllers import DroopController, LinearController, save_controller
+from swingfreq.netmodel import bundled_case_path
 
 
 # every numeric entry of certificate.json, by key path; the benchmark compares
@@ -95,6 +96,38 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"error: cannot read controller file {path!r}: Is a directory\n"
         )
+
+    def test_unreadable_case_path_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["simulate", "--case", str(tmp_path), "--horizon", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read case file '{tmp_path}': Is a directory\n"
+        )
+
+    @pytest.mark.parametrize("flag, what", [
+        ("--case", "case file"), ("--checkpoint", "checkpoint"),
+    ])
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys, flag, what):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff{}")
+        inputs = [flag, str(path)] if flag == "--case" else ["--case", "two_bus", flag, str(path)]
+        rc = main(["simulate", *inputs, "--horizon", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert re.fullmatch(
+            rf"error: malformed {what} {re.escape(str(path))}: .*0xff.*\n",
+            capsys.readouterr().err,
+        )
+
+    def test_non_finite_case_value_exits_2_naming_bus(self, tmp_path, capsys):
+        case = tmp_path / "case.json"
+        case.write_text(
+            bundled_case_path("two_bus").read_text().replace('"M": 1.0', '"M": NaN', 1)
+        )
+        rc = main(["simulate", "--case", str(case), "--horizon", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: non-finite inertia at bus 1\n"
 
     def test_missing_case_exits_2_naming_path(self, tmp_path, capsys):
         rc = main([
@@ -476,9 +509,9 @@ class TestCertify:
         calls = []
         integrate = dynamics._integrate
 
-        def recording(net, controller, stack, method, record, observe=None):
-            hist = integrate(net, controller, stack, method, record, observe)
-            calls.append((stack.B, tuple(record), observe is not None, hist))
+        def recording(net, controller, stack, record, observe=None):
+            hist = integrate(net, controller, stack, record, observe)
+            calls.append((stack.B, stack.method, tuple(record), observe is not None, hist))
             return hist
 
         for mod in (dynamics, lyapunov, training):
@@ -489,7 +522,7 @@ class TestCertify:
             "--out", str(tmp_path),
         ]) == 0
         # calibration and battery in one batch, reduced by an observer
-        assert calls == [(5, (), True, {})]
+        assert calls == [(5, "rk4", (), True, {})]
         doc = json.loads((tmp_path / "certificate.json").read_text())
         assert numeric_paths(doc) == CERTIFICATE_NUMBERS
 

@@ -20,6 +20,7 @@ from swingfreq.dynamics import (
     Scenario,
     ScenarioStack,
     SystemState,
+    _forcing_rows,
     make_constant_basis,
     make_sinusoid_basis,
     rollout,
@@ -314,7 +315,7 @@ class TestRolloutBatch:
         # stream, drawn per step
         scens = self.battery(ne39, ne39_eq)
         dt, n_steps = 0.01, 150
-        stack = ScenarioStack(ne39, scens, dt, n_steps, 3, ne39_eq)
+        stack = ScenarioStack(ne39, scens, dt, n_steps, "rk4", 3, ne39_eq)
         for _ in range(2):  # every call restarts the streams
             rngs = [np.random.default_rng(s.dist.seed) for s in scens]
             for k, got in zip(range(n_steps + 1), stack.injections()):
@@ -375,6 +376,12 @@ class TestRolloutBatch:
             rollout_batch(two_bus, DroopController.initial(2), scens, horizon=1.0,
                           record=("u",))
 
+    def test_unknown_method(self, two_bus):
+        scens = [Scenario(Disturbance(), make_constant_basis(2))]
+        with pytest.raises(ValueError, match="unknown integration method 'verlet'"):
+            rollout_batch(two_bus, DroopController.initial(2), scens, horizon=1.0,
+                          method="verlet")
+
     def test_divergence_names_scenario_and_step(self, two_bus):
         ctrl = LinearController(np.array([-300.0, -300.0]))
         quiet = Scenario(Disturbance(), make_constant_basis(2))
@@ -388,9 +395,9 @@ class TestRolloutBatch:
 
 class TestForcingStream:
     @staticmethod
-    def stack(net, delta_star, dt, n_steps, bases):
+    def stack(net, delta_star, dt, n_steps, bases, method):
         scens = [Scenario(Disturbance(), b) for b in bases]
-        return ScenarioStack(net, scens, dt, n_steps, 3, delta_star)
+        return ScenarioStack(net, scens, dt, n_steps, method, 3, delta_star)
 
     @pytest.mark.parametrize(
         "method, dt", [("euler", 0.01), ("rk4", 0.01), ("rk4", 0.005)]
@@ -401,39 +408,61 @@ class TestForcingStream:
         sub = SUBSTAGES[method]
         n_steps = (3 * FORCING_ROWS + 7) // sub
         bases = [make_sinusoid_basis(ne39.n, seed) for seed in range(3)]
-        stack = self.stack(ne39, ne39_eq, dt, n_steps, bases)
+        stack = self.stack(ne39, ne39_eq, dt, n_steps, bases, method)
         n_rows = n_steps * sub + 1
         assert n_rows % FORCING_ROWS and n_rows > 3 * FORCING_ROWS
-        got = []
-        for block in range(-(-n_rows // FORCING_ROWS)):
-            phi, var = stack.forcing(block, sub)
-            np.testing.assert_allclose(
-                var, (phi * stack.basis.coeffs).sum(axis=-1), rtol=0, atol=1e-15
-            )
-            got.append(phi.copy())
-        got = np.concatenate(got)
+        got = np.concatenate(
+            [stack.forcing(block).copy() for block in range(-(-n_rows // FORCING_ROWS))]
+        )
         assert got.shape[0] == n_rows
         want = stack.basis.features(np.arange(n_rows) * (dt / sub))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_constant_basis_rows(self, ne39, ne39_eq):
         bases = [make_constant_basis(ne39.n, np.full(ne39.n, 0.1 * (b + 1))) for b in range(2)]
-        stack = self.stack(ne39, ne39_eq, 0.01, 40, bases)
+        stack = self.stack(ne39, ne39_eq, 0.01, 40, bases, "euler")
         for block in range(2):
-            phi, var = stack.forcing(block, 1)
+            phi = stack.forcing(block)
             np.testing.assert_array_equal(phi, np.ones_like(phi))
-            a = stack.basis.coeffs[..., 0]
-            np.testing.assert_array_equal(var, np.broadcast_to(a, var.shape))
 
     @pytest.mark.parametrize("sub", [1, 2])
     def test_block_is_rebuilt_bit_for_bit(self, ne39, ne39_eq, sub):
         # the adjoint rebuilds each block the forward pass used
         bases = [make_sinusoid_basis(ne39.n, seed) for seed in range(2)]
-        stack = self.stack(ne39, ne39_eq, 0.01, 3 * FORCING_ROWS, bases)
-        first = [x.copy() for x in stack.forcing(2, sub)]
-        stack.forcing(1, sub)
-        for a, b in zip(first, stack.forcing(2, sub)):
-            assert np.array_equal(a, b)
+        method = "euler" if sub == 1 else "rk4"
+        stack = self.stack(ne39, ne39_eq, 0.01, 3 * FORCING_ROWS, bases, method)
+        first = stack.forcing(2).copy()
+        stack.forcing(1)
+        assert np.array_equal(first, stack.forcing(2))
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_rows_are_injection_and_feature_view(self, ne39, ne39_eq, method, constant):
+        # every stage row is p_star + phi.a with the controller's view of phi,
+        # and stays valid until the next row is drawn: an RK4 step still reads
+        # a block's last row after the next block is built
+        if constant:
+            bases = [make_constant_basis(ne39.n, np.full(ne39.n, 0.1 * (b + 1)))
+                     for b in range(2)]
+            ctrl = AdaptiveController.initial(
+                MonotonePWLController.initial(ne39.n), 1, feature_mode="constant"
+            )
+        else:
+            bases = [make_sinusoid_basis(ne39.n, seed) for seed in range(3)]
+            ctrl = AdaptiveController.initial(MonotonePWLController.initial(ne39.n), 3)
+        sub = SUBSTAGES[method]
+        n_steps = (2 * FORCING_ROWS + 5) // sub
+        stack = self.stack(ne39, ne39_eq, 0.01, n_steps, bases, method)
+        t = np.arange(n_steps * sub + 1) * (0.01 / sub)
+        assert t.size > 2 * FORCING_ROWS and t.size % FORCING_ROWS
+        p_want = ne39.p_star + stack.basis.injection_variation(t)
+        view_want = ctrl.select_features(stack.basis.features(t))
+        held = []
+        for r, row in zip(range(t.size), _forcing_rows(ne39, ctrl, stack)):
+            held = held[-1:] + [(r, row)]
+            for j, (p, view) in held:
+                np.testing.assert_allclose(p, p_want[j], rtol=0, atol=1e-14)
+                np.testing.assert_allclose(view, view_want[j], rtol=0, atol=1e-14)
 
 
 class TestTrajectoryExport:

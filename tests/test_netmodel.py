@@ -80,6 +80,34 @@ class TestLoadCase:
         with pytest.raises(CaseError, match="malformed"):
             load_case(p)
 
+    def test_unreadable_path_names_it(self, tmp_path):
+        name = re.escape(str(tmp_path))
+        with pytest.raises(CaseError, match=rf"cannot read case file '{name}': Is a directory"):
+            load_case(tmp_path)
+
+    def test_undecodable_file_names_it(self, tmp_path):
+        p = tmp_path / "bytes.json"
+        p.write_bytes(b"\xff{}")
+        with pytest.raises(CaseError, match=rf"malformed case file {re.escape(str(p))}: .*0xff"):
+            load_case(p)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("where, message", [
+        ("M", "non-finite inertia at bus 2"),
+        ("D", "non-finite damping at bus 2"),
+        ("B", "non-finite susceptance on line 1-2"),
+    ])
+    def test_non_finite_value_names_bus_or_line(self, tmp_path, where, message, literal):
+        doc = simple_case()
+        if where == "B":
+            doc["lines"][0]["B"] = "X"
+        else:
+            doc["buses"][1][where] = "X"
+        p = tmp_path / "case.json"
+        p.write_text(json.dumps(doc).replace('"X"', literal))
+        with pytest.raises(CaseError, match=message):
+            load_case(p)
+
     def test_unknown_bus_in_line(self, tmp_path):
         doc = simple_case(lines=[{"from": 1, "to": 7, "B": 1.0}])
         with pytest.raises(CaseError, match="unknown bus 7"):

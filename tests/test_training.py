@@ -10,6 +10,7 @@ from swingfreq.controllers import (
     ControllerError,
 )
 from swingfreq.dynamics import (
+    FORCING_ROWS,
     Disturbance,
     IntegrationError,
     Trajectory,
@@ -213,9 +214,9 @@ def per_step_grad(net, controller, scenarios, cost, dt):
 class TestGradients:
     @pytest.mark.parametrize("kind", ["droop", "pwl", "integral", "adaptive"])
     def test_blocked_adjoint_matches_per_step_sweep(self, kind, ne39):
-        # 37 steps: one full block of controller terms and a partial one
+        # 37 steps: two full forcing blocks and a partial one
         cost = CostSpec(gamma=0.1, c=make_cost_spec(ne39, 2).c, T=0.37)
-        assert round(cost.T / 0.01) % training.ADJOINT_BLOCK != 0
+        assert round(cost.T / 0.01) % FORCING_ROWS != 0
         scens = make_scenarios(ne39, 3, 8, mag_cap=3.0)
         rng = np.random.default_rng(4)
         pwl = MonotonePWLController.initial(ne39.n, slope=2.0)
