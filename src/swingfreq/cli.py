@@ -147,10 +147,10 @@ def _controller_spec(spec: str, net: Network) -> tuple[str, Controller]:
     return spec, _fresh_controller(spec, net.n)
 
 
-def _sized(ctrl: Controller, net: Network, label: str = "") -> Controller:
+def _sized(ctrl: Controller, net: Network, label: str) -> Controller:
     if ctrl.n != net.n:
         raise ControllerError(
-            f"controller {label}is sized for {ctrl.n} buses but the case has {net.n}"
+            f"controller {label!r} is sized for {ctrl.n} buses but the case has {net.n}"
         )
     return ctrl
 
@@ -161,7 +161,7 @@ def _resolve_controller(args, net: Network, default: str) -> tuple[Controller, s
     label, ctrl = _from_file(args.checkpoint) if args.checkpoint else _controller_spec(spec, net)
     if getattr(args, "saturate", None) is not None:
         ctrl = SaturatedController(ctrl, args.saturate)
-    return _sized(ctrl, net), label
+    return _sized(ctrl, net, label), label
 
 
 def _check_thread_cap() -> None:
@@ -247,7 +247,7 @@ def cmd_train(args) -> int:
             raise ControllerError(
                 f"checkpoint was trained on case {cfg.get('case')!r}, not {args.case!r}"
             )
-        _sized(ctrl, net)
+        _sized(ctrl, net, Path(args.checkpoint).stem)
         cfg = {"noise": 0.0, **cfg}  # a config without noise trains noise-free
         try:
             cost = CostSpec(
@@ -343,7 +343,7 @@ def cmd_evaluate(args) -> int:
     seen: dict[str, int] = {}
     labeled = []
     for label, ctrl in entries:
-        _sized(ctrl, net, f"{label!r} ")
+        _sized(ctrl, net, label)
         seen[label] = seen.get(label, 0) + 1
         labeled.append((f"{label}#{seen[label]}" if seen[label] > 1 else label, ctrl))
 

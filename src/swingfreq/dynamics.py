@@ -18,14 +18,16 @@ grid.
 
 Angles are re-projected to the COI gauge (zero mean) after every step.
 
-There is one integrator, `_integrate`: it advances a `ScenarioStack` (the one
-path from scenarios to stacked arrays: a stacked `BasisSignal`, one stream
-of per-step injections and one blocked forcing stream) with state shape
-(B, n), evaluating injections and the controller for every scenario in one
-call per stage, and returns time-major histories of what it is asked to
-record, or hands each record's state to an observer.  A stack serves one
-method; its forcing stream builds phi alone on one grid of `FORCING_ROWS`
-stage rows per block, the first row by `np.sin` and the rest by rotation, so
+There is one integrator, `_integrate`: it advances a `ScenarioStack` with
+state shape (B, n), evaluating injections and the controller for every
+scenario in one call per stage, and returns time-major histories of what it
+is asked to record, or hands each record's state to an observer.  A stack
+is the one description of a run and the one path from scenarios to stacked
+arrays: it holds the network, the controller, the method and the step count
+derived from the horizon, a stacked `BasisSignal`, one stream of per-step
+injections and one blocked forcing stream.  The forcing stream builds phi
+alone on one grid of `FORCING_ROWS` stage rows per block: the first row by
+`np.sin`, the rest in one multiply by a turn table stored with the stack, so
 a block rebuilt later (the adjoint walks them in reverse) is bit-identical.
 The integrator forms p_star + phi.a per block; RK4's last stage and the next
 step's first share a row.
@@ -66,8 +68,8 @@ __all__ = [
 
 DT_REF = 0.01  # simulated seconds per step of the basis feature index
 # stage rows per forcing block: Euler steps, or RK4 half steps.  A stack's
-# block buffer (phi and the complex rotation rows) is 0.87 MB at B = 25 on
-# ne39 with a two-sinusoid basis, 0.35 MB at B = 10
+# block buffer (phi and the complex rotation rows) and turn table take
+# 1.37 MB at B = 25 on ne39 with a two-sinusoid basis, 0.55 MB at B = 10
 FORCING_ROWS = 16
 SUBSTAGES = {"euler": 1, "rk4": 2}  # stage rows per step of each method
 
@@ -251,29 +253,35 @@ def _substages(method: str) -> int:
 
 
 class ScenarioStack:
-    """A scenario battery as stacked arrays, one row per scenario in order.
+    """One run: a scenario battery as stacked arrays, one row per scenario in
+    order, with the network and controller that integrate it.
 
-    It serves one integration `method`, of `sub` stage rows per step.
+    It serves one integration `method`, of `sub` stage rows per step, over
+    `n_steps` steps of `dt`, derived from `horizon` (a multiple of dt).
     `basis` stacks the scenarios' bases, (B, n, l); `forcing()` builds phi a
     block of stage rows at a time; `injections()` streams each
     step's step-plus-noise injection, (B, n), each noisy row drawing its
     step's noise from its own seeded stream, as a lone rollout of that
-    scenario draws it; `delta0`, `omega0` (B, n) and `a0` (B, n, l_ctrl) are
-    the initial states; `steps` is the battery's `_step_table`.  Nothing here
-    is horizon-long.
+    scenario draws it; `delta0`, `omega0` (B, n) and `a0` (B, n, l_ctrl),
+    l_ctrl the controller's feature count, are the initial states; `steps`
+    is the battery's `_step_table`.  Nothing here is horizon-long.
     """
 
     def __init__(
         self,
         net: Network,
+        controller: Controller,
         scenarios: Sequence[Scenario],
+        horizon: float,
         dt: float,
-        n_steps: int,
         method: str,
-        ctrl_features: int,
         delta_star: np.ndarray | None = None,
     ):
+        self.net, self.controller = net, controller
         self.method, self.sub = method, _substages(method)
+        n_steps = round(horizon / dt)
+        if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)) or n_steps < 1:
+            raise ValueError(f"horizon {horizon} is not an integer multiple of dt {dt}")
         B = len(scenarios)
         if B == 0:
             raise ValueError("empty scenario batch")
@@ -283,7 +291,7 @@ class ScenarioStack:
                 raise ValueError("scenario basis does not match the network")
             if s.basis.n_features != first.n_features:
                 raise ValueError("scenarios in a batch must share the basis layout")
-        n = net.n
+        n, l = net.n, controller.n_features
         self.B, self.n, self.dt, self.n_steps = B, n, dt, n_steps
         self.basis = BasisSignal(
             np.stack([s.basis.eta for s in scenarios]),
@@ -299,16 +307,17 @@ class ScenarioStack:
             delta_star = solve_equilibrium(net)
         self.delta0 = np.stack([delta_star if s.x0 is None else s.x0.delta for s in scenarios])
         self.omega0 = np.stack([np.zeros(n) if s.x0 is None else s.x0.omega for s in scenarios])
-        self.a0 = np.zeros((B, n, ctrl_features))
+        self.a0 = np.zeros((B, n, l))
         for b, s in enumerate(scenarios):
             if s.x0 is not None and s.x0.a_hat.size:
-                if s.x0.a_hat.shape != (n, ctrl_features):
+                if s.x0.a_hat.shape != (n, l):
                     raise ValueError("initial estimates do not fit the controller")
                 self.a0[b] = s.x0.a_hat
         eta = self.basis.eta
-        span = 2.0 ** np.arange((FORCING_ROWS - 1).bit_length())
-        angle = (span * dt / self.sub / DT_REF)[:, None, None, None] * eta
-        self._turns = np.cos(angle) + 1j * np.sin(angle)
+        angle = (np.arange(FORCING_ROWS) * (dt / self.sub / DT_REF))[:, None, None, None] * eta
+        self._turns = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=self._turns.real)
+        np.sin(angle, out=self._turns.imag)
         self._phi = np.empty((FORCING_ROWS,) + self.basis.coeffs.shape)
         self._phi[..., -1] = 1.0
         self._z = np.empty((FORCING_ROWS,) + eta.shape, dtype=complex)
@@ -336,10 +345,10 @@ class ScenarioStack:
         Stage row r sits at time r * dt / sub; the block holds rows
         block * FORCING_ROWS onwards, up to the horizon's row n_steps * sub.
         The first row is `basis.features` at the block's first step, computed
-        the same way; row j is that row turned by j stage rows, doubling the
-        rows filled with the turns exp(i L g eta) by L = 1, 2, 4, ... rows
-        (g = dt / sub in basis index units), so rows stay within a few ulp of
-        `basis.features` and a block is bit-identical each time it is built.
+        the same way; row j is that row times the stored turn exp(i j g eta)
+        (g = dt / sub in basis index units), all rows in one multiply, so rows
+        stay within a few ulp of `basis.features` and a block is bit-identical
+        each time it is built.
         The result is a view of the stack's one block buffer, valid until the
         next call: a fresh block of this size is page-faulted in on every call.
         """
@@ -351,13 +360,7 @@ class ScenarioStack:
         if m:
             angle = (r0 // self.sub * self.dt / DT_REF) * eta
             z[0].real, z[0].imag = np.cos(angle), np.sin(angle)
-            span = 1
-            for turn in self._turns:
-                if span >= rows:
-                    break
-                end = min(2 * span, rows)
-                np.multiply(z[: end - span], turn, out=z[span:end])
-                span = end
+            np.multiply(self._turns[1:rows], z[0], out=z[1:])
             for j in range(m):  # one feature at a time: long strided loops
                 phi[..., j] = z[..., j].imag
         return phi
@@ -370,22 +373,23 @@ def _forcing(net: Network, controller: Controller, basis: BasisSignal, t: float)
     return net.p_star + (phi * basis.coeffs).sum(axis=-1), controller.select_features(phi)
 
 
-def _forcing_rows(net: Network, controller: Controller, stack: ScenarioStack):
-    """`_forcing` of a stacked battery at stage rows 0, 1, ..., n_steps * sub,
-    built one `ScenarioStack.forcing` block at a time.
+def _forcing_rows(stack: ScenarioStack):
+    """`_forcing` of a stack's battery, with its network and controller, at
+    stage rows 0, 1, ..., n_steps * sub, built one `ScenarioStack.forcing`
+    block at a time.
 
     The injection p_star + phi.a is summed feature by feature, as
     (phi * coeffs).sum(-1) sums it, into a fresh array per block.  Feature
     rows are views of the stack's block buffer, except a block's last row:
     an RK4 step still uses it after the next block is built, so it is a copy.
     """
-    coeffs = stack.basis.coeffs
+    coeffs, p_star, controller = stack.basis.coeffs, stack.net.p_star, stack.controller
     for block in itertools.count():
         phi = stack.forcing(block)
         p = phi[..., 0] * coeffs[..., 0]
         for j in range(1, coeffs.shape[-1]):
             p += phi[..., j] * coeffs[..., j]
-        p += net.p_star
+        p += p_star
         view = controller.select_features(phi)
         last = p.shape[0] - 1
         for j in range(last):
@@ -537,29 +541,20 @@ class Trajectory:
 RECORDS = ("delta", "omega", "u", "p", "a_hat")
 
 
-def _n_steps(horizon: float, dt: float) -> int:
-    n_steps = round(horizon / dt)
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)) or n_steps < 1:
-        raise ValueError(f"horizon {horizon} is not an integer multiple of dt {dt}")
-    return n_steps
-
-
-def _integrate(
-    net: Network, controller: Controller, stack: ScenarioStack, record, observe=None
-) -> dict[str, np.ndarray]:
-    """Integrate a stacked battery for `stack.n_steps` steps of `stack.dt`.
+def _integrate(stack: ScenarioStack, record, observe=None) -> dict[str, np.ndarray]:
+    """Integrate a stack's battery for `stack.n_steps` steps of `stack.dt`,
+    with the stack's network, controller and method.
 
     Returns time-major histories, (K+1, B, n) and (K+1, B, n, l) for a_hat,
     for the names in `record`; time-major keeps each step's batch contiguous
     for the adjoint sweep.  `observe`, when given, is called at every record
     as observe(k, delta, omega, a_hat) with the (B, ...) state, so a caller
-    can reduce the run as it goes instead of recording it.  The method is
-    the stack's, and injections and features come from `_forcing_rows`; an
-    RK4 step's end row is the next step's first.  Raises IntegrationError
-    naming scenario and step.
+    can reduce the run as it goes instead of recording it.  Injections and
+    features come from `_forcing_rows`; an RK4 step's end row is the next
+    step's first.  Raises IntegrationError naming scenario and step.
     """
-    n_steps, dt = stack.n_steps, stack.dt
-    rows = _forcing_rows(net, controller, stack)
+    net, controller, n_steps, dt = stack.net, stack.controller, stack.n_steps, stack.dt
+    rows = _forcing_rows(stack)
     row, mid = next(rows), None
     B, n, l = stack.B, stack.n, controller.n_features
     hist = {
@@ -610,10 +605,9 @@ def rollout_batch(
     """
     if "omega" not in record or not set(record) <= set(RECORDS):
         raise ValueError(f"record must name omega and only histories among {RECORDS}")
-    n_steps = _n_steps(horizon, dt)
-    stack = ScenarioStack(net, scenarios, dt, n_steps, method, controller.n_features, delta_star)
-    hist = _integrate(net, controller, stack, record)
-    t_rec = np.arange(n_steps + 1) * dt
+    stack = ScenarioStack(net, controller, scenarios, horizon, dt, method, delta_star)
+    hist = _integrate(stack, record)
+    t_rec = np.arange(stack.n_steps + 1) * dt
     return tuple(
         Trajectory(t_rec, *(hist[r][:, b] if r in hist else None for r in RECORDS), dt)
         for b in range(stack.B)

@@ -63,7 +63,6 @@ from .dynamics import (
     SystemState,
     Trajectory,
     _integrate,
-    _n_steps,
     _step_table,
 )
 from .netmodel import Network, coi_project, hessian_S
@@ -322,14 +321,14 @@ def _terms(net, controller, delta_star, delta, omega, a_hat, target, target_prev
     )
 
 
-def _targets(controller, scenarios, steps: dict[int, np.ndarray]) -> dict[int, np.ndarray] | None:
+def _targets(controller, coeffs, steps: dict[int, np.ndarray]) -> dict[int, np.ndarray] | None:
     """Estimation targets of a battery, (B, n, l), at each record of its
-    `_step_table`: the true coefficients in the controller's view with the
-    steps active from that record on folded into the constant feature.
-    None for controllers without estimates."""
+    `_step_table`: the battery's true coefficients `coeffs` (B, n, m + 1) in
+    the controller's view, with the steps active from that record on folded
+    into the constant feature.  None for controllers without estimates."""
     if not isinstance(controller, AdaptiveController):
         return None
-    coeffs = controller.select_features(np.stack([s.basis.coeffs for s in scenarios]))
+    coeffs = controller.select_features(coeffs)
     out = {}
     for k, injection in steps.items():
         fold = np.array(coeffs)
@@ -356,11 +355,11 @@ def stream_energy(
     diverging row.
     """
     scenarios = tuple(scenarios)
-    n_steps = _n_steps(horizon, dt)
-    stack = ScenarioStack(net, scenarios, dt, n_steps, "rk4", controller.n_features, delta_star)
+    stack = ScenarioStack(net, controller, scenarios, horizon, dt, "rk4", delta_star)
+    n_steps = stack.n_steps
     shape = (n_steps + 1, stack.B)
     columns = [np.empty(shape) for _ in range(5)] + [np.empty(shape, dtype=int)]
-    targets = _targets(controller, scenarios, stack.steps)
+    targets = _targets(controller, stack.basis.coeffs, stack.steps)
     target = None
 
     def observe(k, delta, omega, a_hat):
@@ -372,7 +371,7 @@ def stream_energy(
         for col, x in zip(columns, terms):
             col[k] = x
 
-    _integrate(net, controller, stack, (), observe)
+    _integrate(stack, (), observe)
     return EnergySeries(scenarios, np.arange(n_steps + 1) * dt, dt, *columns)
 
 
@@ -380,7 +379,7 @@ def _trajectory_series(traj, net, scenario, controller, delta_star) -> EnergySer
     """The series of one recorded trajectory, its K+1 records taken as one batch."""
     n_steps = traj.n_records - 1
     steps = _step_table([scenario], net.n, traj.dt, n_steps)
-    targets = _targets(controller, [scenario], steps)
+    targets = _targets(controller, scenario.basis.coeffs[None], steps)
     target = prev = None
     if targets is not None:
         keys = sorted(targets)

@@ -124,8 +124,8 @@ def _validate(net: Network) -> None:
             raise CaseError(f"{word} {label} at bus {net.bus_ids[k]}")
     if net.p_star.shape != (n,):
         raise CaseError("p_star array has wrong length")
-    if not np.all(np.isfinite(net.p_star)):
-        raise CaseError("non-finite p_star")
+    for k in np.flatnonzero(~np.isfinite(net.p_star)):
+        raise CaseError(f"non-finite p_star at bus {net.bus_ids[k]}")
     s = net.p_star.sum()
     if abs(s) > BALANCE_TOL:
         raise CaseError(
@@ -213,7 +213,7 @@ def load_case(path: str | Path, *, repair_balance: bool = False) -> Network:
             f"case file {path} has no lines: every command needs a connected "
             "network with at least one line"
         )
-    if repair_balance:
+    if repair_balance and np.all(np.isfinite(p)):  # else `_validate` names the bus
         p = coi_project(p)
     return Network(
         name=str(doc.get("name", path.stem)),

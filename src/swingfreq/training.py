@@ -14,13 +14,14 @@ loss horizon are module constants (`make_cost_spec`).  The backward pass
 walks the same recurrence with hand-written vector-Jacobian products for
 every term: network coupling via Hessian-vector products, controller terms
 via the hooks the controllers expose.  It keeps only the angle, frequency and
-control histories, so memory stays linear in the horizon.  It walks the
-forward pass's forcing blocks in reverse, rebuilding each bit for bit from
-the same restart, and takes the controller terms that do not feed the
-recurrence and the action seed once per block.  The max is
-handled as a hard max with the subgradient placed at the earliest
-maximizing sample, a single seed per bus; a log-sum-exp softening, with a
-dense seed, is available behind a flag.
+control histories, so memory stays linear in the horizon.  Both passes read
+one `ScenarioStack`, which holds the run's network, controller and step
+count; the backward pass walks the forward pass's forcing blocks in reverse,
+rebuilding each bit for bit from the same first row and turn table, and
+takes the controller terms that do not feed the recurrence and the action
+seed once per block.  The max is handled as a hard max with the subgradient
+placed at the earliest maximizing sample, a single seed per bus; a
+log-sum-exp softening, with a dense seed, is available behind a flag.
 
 Everything is deterministic given the seeds: scenario draws come from
 spawned `SeedSequence` children, and the per-epoch shuffle is keyed by
@@ -48,7 +49,6 @@ from .dynamics import (
     ScenarioStack,
     Trajectory,
     _integrate,
-    _n_steps,
     make_sinusoid_basis,
 )
 from .netmodel import Network, coi_project, hess_S_vecprod, solve_equilibrium
@@ -174,15 +174,15 @@ def restoration_cost(
 def _forward(net, controller, scenarios, dt, T, delta_star):
     """Euler rollout of the batch through the dynamics core.
 
-    Returns the scenario stack (the adjoint rebuilds its forcing blocks) and
-    the time-major histories the adjoint needs: delta and omega (K+1, B, n)
-    and the K controls that drive the steps.
+    Returns the scenario stack (the adjoint reads the network and controller
+    from it and rebuilds its forcing blocks) and the time-major histories the
+    adjoint needs: delta and omega (K+1, B, n) and the K controls that drive
+    the steps.
     """
     if isinstance(controller, SaturatedController):
         raise ControllerError("training through saturation is not supported")
-    n_steps = _n_steps(T, dt)
-    stack = ScenarioStack(net, scenarios, dt, n_steps, "euler", controller.n_features, delta_star)
-    hist = _integrate(net, controller, stack, ("delta", "omega", "u"))
+    stack = ScenarioStack(net, controller, scenarios, T, dt, "euler", delta_star)
+    hist = _integrate(stack, ("delta", "omega", "u"))
     return stack, hist["delta"], hist["omega"], hist["u"][:-1]
 
 
@@ -224,8 +224,10 @@ def _add_seed(lam_w: np.ndarray, seed_w: dict, k: int) -> None:
         lam_w.reshape(-1)[idx] += value
 
 
-def _backward(net, controller, stack: ScenarioStack, delta_h, omega_h, u_h, seed_w, cost):
-    """Adjoint sweep of the Euler recurrence; returns the raw-parameter gradient."""
+def _backward(stack: ScenarioStack, delta_h, omega_h, u_h, seed_w, cost):
+    """Adjoint sweep of the Euler recurrence of a stack's run; returns the
+    raw-parameter gradient of its controller."""
+    net, controller = stack.net, stack.controller
     K, n, B = stack.n_steps, stack.n, stack.B
     adaptive = isinstance(controller, AdaptiveController)
     grad = np.zeros(controller.raw_parameters().size)
@@ -308,7 +310,7 @@ def grad_loss(
             net, controller, scenarios, dt, cost.T, delta_star
         )
         loss, seed_w = _loss_terms(omega_h, u_h, cost, dt, smooth_max)
-        grad = _backward(net, controller, stack, delta_h, omega_h, u_h, seed_w, cost)
+        grad = _backward(stack, delta_h, omega_h, u_h, seed_w, cost)
     if not np.all(np.isfinite(grad)):
         raise IntegrationError("non-finite gradient in the adjoint sweep")
     return loss, grad

@@ -129,6 +129,35 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err == "error: non-finite inertia at bus 1\n"
 
+    def test_non_finite_p_star_exits_2_naming_bus(self, tmp_path, capsys):
+        case = tmp_path / "case.json"
+        case.write_text(
+            bundled_case_path("two_bus").read_text().replace('"p_star": -0.5', '"p_star": NaN')
+        )
+        rc = main(["simulate", "--case", str(case), "--horizon", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: non-finite p_star at bus 2\n"
+
+    def test_unknown_controller_kind_exits_2_naming_the_kinds(self, tmp_path, capsys):
+        rc = main(["simulate", "--case", "two_bus", "--controller", "bogus",
+                   "--horizon", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: unknown controller 'bogus' (expected one of droop, pwl, integral, "
+            "adaptive, or a path to a controller JSON)\n"
+        )
+
+    def test_controller_size_mismatch_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "two.json"
+        save_controller(DroopController.initial(2), path)
+        rc = main(["simulate", "--case", "ne39", "--controller", str(path),
+                   "--horizon", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: controller 'two' is sized for 2 buses but the case has 39\n"
+        )
+
     def test_missing_case_exits_2_naming_path(self, tmp_path, capsys):
         rc = main([
             "simulate", "--case", "/nowhere/missing.json", "--out", str(tmp_path),
@@ -227,6 +256,40 @@ class TestTrain:
         ])
         assert rc == 2
         assert "config" in capsys.readouterr().err
+
+    def test_resume_on_another_case_exits_2(self, tmp_path, capsys):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        rc = main(["train", "--case", "ne39", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                   "--epochs", "1", "--out", str(tmp_path / "resumed")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint was trained on case 'two_bus', not 'ne39'\n"
+        )
+
+    def test_resume_size_mismatch_exits_2_naming_the_checkpoint(self, tmp_path, capsys):
+        main(["train", "--case", "two_bus", "--controller", "droop",
+              "--scenarios", "2", "--epochs", "1", "--out", str(tmp_path)])
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["case"] = "ne39"
+        path.write_text(json.dumps(doc))
+        rc = main(["train", "--case", "ne39", "--checkpoint", str(path),
+                   "--epochs", "1", "--out", str(tmp_path / "resumed")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: controller 'checkpoint' is sized for 2 buses but the case has 39\n"
+        )
+
+    def test_checkpoint_holding_a_list_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        rc = main(["train", "--case", "two_bus", "--checkpoint", str(path),
+                   "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed checkpoint {path}: expected a JSON object\n"
+        )
 
     def test_malformed_config_exits_2_naming_file_and_key(self, tmp_path, capsys):
         main(["train", "--case", "two_bus", "--controller", "droop",
@@ -509,8 +572,8 @@ class TestCertify:
         calls = []
         integrate = dynamics._integrate
 
-        def recording(net, controller, stack, record, observe=None):
-            hist = integrate(net, controller, stack, record, observe)
+        def recording(stack, record, observe=None):
+            hist = integrate(stack, record, observe)
             calls.append((stack.B, stack.method, tuple(record), observe is not None, hist))
             return hist
 

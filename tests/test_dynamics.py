@@ -315,7 +315,8 @@ class TestRolloutBatch:
         # stream, drawn per step
         scens = self.battery(ne39, ne39_eq)
         dt, n_steps = 0.01, 150
-        stack = ScenarioStack(ne39, scens, dt, n_steps, "rk4", 3, ne39_eq)
+        ctrl = AdaptiveController.initial(MonotonePWLController.initial(ne39.n), 3)
+        stack = ScenarioStack(ne39, ctrl, scens, n_steps * dt, dt, "rk4", ne39_eq)
         for _ in range(2):  # every call restarts the streams
             rngs = [np.random.default_rng(s.dist.seed) for s in scens]
             for k, got in zip(range(n_steps + 1), stack.injections()):
@@ -393,11 +394,44 @@ class TestRolloutBatch:
             rollout_batch(two_bus, ctrl, [quiet, kicked], horizon=8.0, method="euler")
 
 
+class TestStackRefusals:
+    @staticmethod
+    def build(net, scens, horizon=1.0, dt=0.01):
+        ctrl = AdaptiveController.initial(MonotonePWLController.initial(net.n), 3)
+        return ScenarioStack(net, ctrl, scens, horizon, dt, "rk4")
+
+    def test_empty_battery(self, two_bus):
+        with pytest.raises(ValueError, match="empty scenario batch"):
+            self.build(two_bus, [])
+
+    def test_basis_of_another_network(self, two_bus):
+        scens = [Scenario(Disturbance(), make_sinusoid_basis(3, 0))]
+        with pytest.raises(ValueError, match="scenario basis does not match the network"):
+            self.build(two_bus, scens)
+
+    def test_estimates_that_do_not_fit_the_controller(self, two_bus, two_bus_eq):
+        x0 = SystemState(two_bus_eq, np.zeros(2), np.zeros((2, 1)))
+        scens = [Scenario(Disturbance(), make_sinusoid_basis(2, 0), x0)]
+        with pytest.raises(ValueError, match="initial estimates do not fit the controller"):
+            self.build(two_bus, scens)
+
+    def test_horizon_off_the_step_grid(self, two_bus):
+        scens = [Scenario(Disturbance(), make_sinusoid_basis(2, 0))]
+        with pytest.raises(ValueError, match="horizon 0.015 is not an integer multiple of dt 0.01"):
+            self.build(two_bus, scens, horizon=0.015)
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ValueError, match="noise_eps must be nonnegative"):
+            Disturbance(noise_eps=-1)
+
+
 class TestForcingStream:
     @staticmethod
-    def stack(net, delta_star, dt, n_steps, bases, method):
+    def stack(net, delta_star, dt, n_steps, bases, method, ctrl=None):
         scens = [Scenario(Disturbance(), b) for b in bases]
-        return ScenarioStack(net, scens, dt, n_steps, method, 3, delta_star)
+        if ctrl is None:
+            ctrl = AdaptiveController.initial(MonotonePWLController.initial(net.n), 3)
+        return ScenarioStack(net, ctrl, scens, n_steps * dt, dt, method, delta_star)
 
     @pytest.mark.parametrize(
         "method, dt", [("euler", 0.01), ("rk4", 0.01), ("rk4", 0.005)]
@@ -452,13 +486,13 @@ class TestForcingStream:
             ctrl = AdaptiveController.initial(MonotonePWLController.initial(ne39.n), 3)
         sub = SUBSTAGES[method]
         n_steps = (2 * FORCING_ROWS + 5) // sub
-        stack = self.stack(ne39, ne39_eq, 0.01, n_steps, bases, method)
+        stack = self.stack(ne39, ne39_eq, 0.01, n_steps, bases, method, ctrl)
         t = np.arange(n_steps * sub + 1) * (0.01 / sub)
         assert t.size > 2 * FORCING_ROWS and t.size % FORCING_ROWS
         p_want = ne39.p_star + stack.basis.injection_variation(t)
         view_want = ctrl.select_features(stack.basis.features(t))
         held = []
-        for r, row in zip(range(t.size), _forcing_rows(ne39, ctrl, stack)):
+        for r, row in zip(range(t.size), _forcing_rows(stack)):
             held = held[-1:] + [(r, row)]
             for j, (p, view) in held:
                 np.testing.assert_allclose(p, p_want[j], rtol=0, atol=1e-14)

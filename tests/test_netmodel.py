@@ -57,6 +57,16 @@ class TestLoadCase:
         with pytest.raises(CaseError, match=rf"{re.escape(str(path))} has no lines"):
             load_case(path)
 
+    def test_self_loop_rejected_naming_bus(self, tmp_path):
+        doc = simple_case(lines=[{"from": 1, "to": 1, "B": 1.0}])
+        with pytest.raises(CaseError, match="self-loop at bus 1"):
+            load_case(write_case(tmp_path, doc))
+
+    def test_zero_susceptance_rejected_naming_line(self, tmp_path):
+        doc = simple_case(lines=[{"from": 1, "to": 2, "B": 0.0}])
+        with pytest.raises(CaseError, match="zero susceptance on line 1-2"):
+            load_case(write_case(tmp_path, doc))
+
     def test_negative_susceptance_rejected(self, tmp_path):
         doc = simple_case(lines=[{"from": 1, "to": 2, "B": -1.0}])
         with pytest.raises(CaseError, match="negative susceptance"):
@@ -96,6 +106,7 @@ class TestLoadCase:
         ("M", "non-finite inertia at bus 2"),
         ("D", "non-finite damping at bus 2"),
         ("B", "non-finite susceptance on line 1-2"),
+        ("p_star", "non-finite p_star at bus 2"),
     ])
     def test_non_finite_value_names_bus_or_line(self, tmp_path, where, message, literal):
         doc = simple_case()
@@ -107,6 +118,14 @@ class TestLoadCase:
         p.write_text(json.dumps(doc).replace('"X"', literal))
         with pytest.raises(CaseError, match=message):
             load_case(p)
+
+    def test_repair_balance_keeps_the_non_finite_bus(self, tmp_path):
+        doc = simple_case()
+        doc["buses"][1]["p_star"] = "X"
+        p = tmp_path / "case.json"
+        p.write_text(json.dumps(doc).replace('"X"', "NaN"))
+        with pytest.raises(CaseError, match="non-finite p_star at bus 2"):
+            load_case(p, repair_balance=True)
 
     def test_unknown_bus_in_line(self, tmp_path):
         doc = simple_case(lines=[{"from": 1, "to": 7, "B": 1.0}])

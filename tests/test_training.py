@@ -136,6 +136,10 @@ class TestScenarios:
         scens = make_scenarios(two_bus, 50, 9)
         assert max(len(s.dist.steps) for s in scens) <= 2
 
+    def test_empty_count_rejected(self, two_bus):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            make_scenarios(two_bus, 0, 0)
+
 
 class TestBatchEngine:
     def test_matches_sequential_euler(self, two_bus):
@@ -289,6 +293,18 @@ class TestAdam:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("scens, epochs, batch_size, message", [
+        (4, -1, 25, "epochs must be >= 0 and batch_size >= 1"),
+        (4, 1, 0, "epochs must be >= 0 and batch_size >= 1"),
+        (0, 1, 25, "empty scenario set"),
+    ])
+    def test_bad_arguments_rejected(self, two_bus, scens, epochs, batch_size, message):
+        cost = make_cost_spec(two_bus, 1)
+        battery = make_scenarios(two_bus, 4, 2)[:scens]
+        with pytest.raises(ValueError, match=message):
+            train(two_bus, DroopController.initial(2), battery, cost,
+                  epochs=epochs, batch_size=batch_size)
+
     def test_zero_epochs_returns_init(self, two_bus):
         cost = make_cost_spec(two_bus, 1)
         scens = make_scenarios(two_bus, 4, 2)
