@@ -12,11 +12,12 @@ a command takes one of the two, and given neither uses a fresh droop
 controller (`train`: adaptive).  A resumed config obeys the rules of the
 flags that set it, and a training flag given on resume must agree with it.
 All randomness is keyed by `--seed`; output files are byte-identical across
-reruns with the same arguments.  `evaluate` integrates each controller's
-battery as one batch.  `certify` hands the case, controller and equilibrium
-to `lyapunov.certify`, which decides the certificate; the command writes it
-and prints its causes of failure.  SWINGFREQ_THREADS, when set, must be a
-positive integer; no result depends on its value.
+reruns with the same arguments.  `evaluate` integrates all its controllers
+over the battery as one batch and scores the rows as they are integrated.
+`certify` hands the case, controller and equilibrium to `lyapunov.certify`,
+which decides the certificate; the command writes it and prints its causes
+of failure.  SWINGFREQ_THREADS, when set, must be a positive integer; no
+result depends on its value.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .controllers import (
     controller_from_dict,
     controller_to_dict,
 )
-from .dynamics import BasisSignal, IntegrationError, rollout, rollout_batch
+from .dynamics import BasisSignal, IntegrationError, rollout
 from .lyapunov import CertificationError, certify
 from .netmodel import (
     AssumptionViolation,
@@ -61,6 +62,7 @@ from .training import (
     make_cost_spec,
     make_scenarios,
     restoration_cost,
+    score_battery,
     train,
     transient_loss,
 )
@@ -135,33 +137,38 @@ def _load_checkpoint(path: str | Path):
     return ctrl, adam, doc.get("config"), list(doc.get("losses", []))
 
 
-def _from_file(path: str) -> tuple[str, Controller]:
-    """Label and controller of a bare controller file or a checkpoint."""
-    return Path(path).stem, _load_checkpoint(path)[0]
+def _sized(ctrl: Controller, net: Network, path: str) -> Controller:
+    """The controller loaded from `path`, refused unless it fits the case."""
+    if ctrl.n != net.n:
+        raise ControllerError(
+            f"controller {path!r} is sized for {ctrl.n} buses but the case has {net.n}"
+        )
+    return ctrl
+
+
+def _from_file(path: str, net: Network) -> tuple[str, Controller]:
+    """Label (the file's stem) and controller of a bare controller file or a
+    checkpoint, sized for the case."""
+    return Path(path).stem, _sized(_load_checkpoint(path)[0], net, path)
 
 
 def _controller_spec(spec: str, net: Network) -> tuple[str, Controller]:
     """Label and controller for a fresh controller type or a controller file."""
     if Path(spec).suffix == ".json" or Path(spec).exists():
-        return _from_file(spec)
+        return _from_file(spec, net)
     return spec, _fresh_controller(spec, net.n)
-
-
-def _sized(ctrl: Controller, net: Network, label: str) -> Controller:
-    if ctrl.n != net.n:
-        raise ControllerError(
-            f"controller {label!r} is sized for {ctrl.n} buses but the case has {net.n}"
-        )
-    return ctrl
 
 
 def _resolve_controller(args, net: Network, default: str) -> tuple[Controller, str]:
     """The `--checkpoint` or `--controller` of a command; `default` when neither is given."""
     spec = default if args.controller is None else args.controller
-    label, ctrl = _from_file(args.checkpoint) if args.checkpoint else _controller_spec(spec, net)
+    if args.checkpoint:
+        label, ctrl = _from_file(args.checkpoint, net)
+    else:
+        label, ctrl = _controller_spec(spec, net)
     if getattr(args, "saturate", None) is not None:
         ctrl = SaturatedController(ctrl, args.saturate)
-    return _sized(ctrl, net, label), label
+    return ctrl, label
 
 
 def _check_thread_cap() -> None:
@@ -247,7 +254,7 @@ def cmd_train(args) -> int:
             raise ControllerError(
                 f"checkpoint was trained on case {cfg.get('case')!r}, not {args.case!r}"
             )
-        _sized(ctrl, net, Path(args.checkpoint).stem)
+        _sized(ctrl, net, args.checkpoint)
         cfg = {"noise": 0.0, **cfg}  # a config without noise trains noise-free
         try:
             cost = CostSpec(
@@ -336,14 +343,13 @@ def cmd_evaluate(args) -> int:
             f"{EVAL_ONSET:g} s onset; pass --horizon >= "
             f"{EVAL_ONSET + RESTORE_WINDOW[1]:g}"
         )
-    entries = [_from_file(p) for p in args.checkpoint or []]
+    entries = [_from_file(p, net) for p in args.checkpoint or []]
     entries += [_controller_spec(spec, net) for spec in args.controller or []]
     if not entries:
         raise ValueError("nothing to evaluate: pass --checkpoint and/or --controller")
     seen: dict[str, int] = {}
     labeled = []
     for label, ctrl in entries:
-        _sized(ctrl, net, label)
         seen[label] = seen.get(label, 0) + 1
         labeled.append((f"{label}#{seen[label]}" if seen[label] > 1 else label, ctrl))
 
@@ -354,33 +360,29 @@ def cmd_evaluate(args) -> int:
     cost = make_cost_spec(net, args.seed)
     delta_star = solve_equilibrium(net)
 
-    # one batch per controller over the whole battery, in scenario order, and
-    # one aggregate row per controller; the shared scenario-set hash proves
-    # every controller saw the identical battery
+    # every controller over the whole battery in one batch, scored as it
+    # runs, and one aggregate row per controller; the shared scenario-set
+    # hash proves every controller saw the identical battery.  The batch
+    # stops at the first step any row diverges; of the controllers that did,
+    # the error names the first in row order
+    try:
+        scores = score_battery(
+            net, [ctrl for _, ctrl in labeled], scenarios, cost,
+            horizon=args.horizon, dt=args.dt, method=args.method, delta_star=delta_star,
+        )
+    except IntegrationError as exc:
+        raise IntegrationError(
+            f"controller {labeled[exc.controller][0]!r} diverged in scenario {exc.row} "
+            f"({hashes[exc.row]}): non-finite state at step {exc.step} (t={exc.t:.6g})"
+        ) from None
     cols = ("transient_loss", "restoration", "nadir", "peak_u")
     rows, summary = [], {}
-    for label, ctrl in labeled:
-        try:
-            trajs = rollout_batch(
-                net, ctrl, scenarios, horizon=args.horizon, dt=args.dt,
-                method=args.method, delta_star=delta_star, record=("omega", "u"),
-            )
-        except IntegrationError as exc:
-            raise IntegrationError(
-                f"controller {label!r} diverged in scenario {exc.row} ({hashes[exc.row]}): "
-                f"non-finite state at step {exc.step} (t={exc.t:.6g})"
-            ) from None
-        mine = []
-        for scen_hash, traj in zip(hashes, trajs):
-            tail = traj.tail(EVAL_ONSET)
-            mine.append({
-                "controller": label,
-                "scenario_hash": scen_hash,
-                "nadir": float(np.abs(tail.omega).max()),
-                "restoration": restoration_cost(tail),
-                "transient_loss": transient_loss(tail, cost),
-                "peak_u": float(np.abs(tail.u).max()),
-            })
+    for i, (label, _) in enumerate(labeled):
+        mine = [
+            {"controller": label, "scenario_hash": scen_hash,
+             **{c: float(scores[c][i, b]) for c in cols}}
+            for b, scen_hash in enumerate(hashes)
+        ]
         rows += mine
         stats: dict[str, float] = {"n_scenarios": len(mine)}
         for c in cols:

@@ -21,21 +21,28 @@ Angles are re-projected to the COI gauge (zero mean) after every step.
 There is one integrator, `_integrate`: it advances a `ScenarioStack` with
 state shape (B, n), evaluating injections and the controller for every
 scenario in one call per stage, and returns time-major histories of what it
-is asked to record, or hands each record's state to an observer.  A stack
-is the one description of a run and the one path from scenarios to stacked
-arrays: it holds the network, the controller, the method and the step count
-derived from the horizon, a stacked `BasisSignal`, one stream of per-step
-injections and one blocked forcing stream.  The forcing stream builds phi
-alone on one grid of `FORCING_ROWS` stage rows per block: the first row by
-`np.sin`, the rest in one multiply by a turn table stored with the stack, so
-a block rebuilt later (the adjoint walks them in reverse) is bit-identical.
-The integrator forms p_star + phi.a per block; RK4's last stage and the next
-step's first share a row.
+is asked to record, or hands each record's state and control to an
+observer.  A stack of several controllers adds a leading controller axis,
+(C, B, n): the network terms, the stage sums, the COI projection, the
+finite check and the forcing run once per stage for all of them, and only
+each controller's `control` and `adaptation` run per slice, each on its own
+feature view of the shared phi; estimates are padded to the largest feature
+count with zero rates in the unused slots.  A controller's rows are bit for
+bit those of its own (B, n) run.  A stack is the one description of a run
+and the one path from scenarios to stacked arrays: it holds the network, the
+controller(s), the method and the step count derived from the horizon, a
+stacked `BasisSignal`, one stream of per-step injections and one blocked
+forcing stream.  The forcing stream builds phi alone on one grid of
+`FORCING_ROWS` stage rows per block: the first row by `np.sin`, the rest in
+one multiply by a turn table stored with the stack, so a block rebuilt later
+(the adjoint walks them in reverse) is bit-identical.  The integrator forms
+p_star + phi.a per block; RK4's last stage and the next step's first share a
+row.
 `rollout_batch` wraps the integrator for scenario batteries, `rollout` is
 the batch-of-one case, `step` advances a lone state through the same stage
 code with its own per-stage features, training calls `_integrate` directly
-for its Euler forward pass, and certification observes instead of
-recording.
+for its Euler forward pass, and certification and evaluation observe
+instead of recording.
 """
 
 from __future__ import annotations
@@ -77,13 +84,15 @@ SUBSTAGES = {"euler": 1, "rk4": 2}  # stage rows per step of each method
 class IntegrationError(RuntimeError):
     """State became non-finite while integrating.
 
-    The integrator sets `row` (the first non-finite batch row), `step` and
-    `t`, so a caller can name the offending scenario in its own terms.
+    The integrator sets `row` (the scenario of the first non-finite batch
+    row), `controller` (its controller's index in a stack of several, else
+    None), `step` and `t`, so a caller can name the offending scenario and
+    controller in its own terms.  Rows are searched controller by controller.
     """
 
-    def __init__(self, message: str, *, row=None, step=None, t=None):
+    def __init__(self, message: str, *, row=None, controller=None, step=None, t=None):
         super().__init__(message)
-        self.row, self.step, self.t = row, step, t
+        self.row, self.controller, self.step, self.t = row, controller, step, t
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,9 +261,42 @@ def _substages(method: str) -> int:
     return SUBSTAGES[method]
 
 
+class _Bank:
+    """Several controllers integrated side by side on a leading axis, (C, B, n).
+
+    Estimates are (C, B, n, L), L the largest feature count; a controller
+    with l < L features owns the first l slots and the rest stay zero.
+    """
+
+    def __init__(self, members: Sequence[Controller]):
+        if not members:
+            raise ValueError("no controller to integrate")
+        self.members = tuple(members)
+        self.n_features = max(m.n_features for m in self.members)
+
+    def select_features(self, phi: np.ndarray) -> np.ndarray | None:
+        """The shared phi; each member picks its own view per stage."""
+        return phi if self.n_features else None
+
+    def feedback(self, omega, phi, a_hat):
+        """Control u, (C, B, n), and estimate rates, (C, B, n, L) or None."""
+        u = np.empty(omega.shape)
+        d_a = np.zeros(a_hat.shape) if self.n_features else None
+        for c, m in enumerate(self.members):
+            l = m.n_features
+            if l:
+                view = m.select_features(phi)
+                u[c] = m.control(omega[c], view, a_hat[c, ..., :l])
+                d_a[c, ..., :l] = m.adaptation(omega[c], view)
+            else:
+                u[c] = m.control(omega[c])
+        return u, d_a
+
+
 class ScenarioStack:
     """One run: a scenario battery as stacked arrays, one row per scenario in
-    order, with the network and controller that integrate it.
+    order, with the network and the controller, or sequence of controllers,
+    that integrate it.
 
     It serves one integration `method`, of `sub` stage rows per step, over
     `n_steps` steps of `dt`, derived from `horizon` (a multiple of dt).
@@ -264,20 +306,26 @@ class ScenarioStack:
     step's noise from its own seeded stream, as a lone rollout of that
     scenario draws it; `delta0`, `omega0` (B, n) and `a0` (B, n, l_ctrl),
     l_ctrl the controller's feature count, are the initial states; `steps`
-    is the battery's `_step_table`.  Nothing here is horizon-long.
+    is the battery's `_step_table`.  Nothing here is horizon-long.  Given a
+    sequence of C controllers, `C` is set (else None) and the initial states
+    gain a leading controller axis: (C, B, n), and (C, B, n, L) padded with
+    zeros, L the largest feature count.
     """
 
     def __init__(
         self,
         net: Network,
-        controller: Controller,
+        controller: Controller | Sequence[Controller],
         scenarios: Sequence[Scenario],
         horizon: float,
         dt: float,
         method: str,
         delta_star: np.ndarray | None = None,
     ):
+        if not isinstance(controller, Controller):
+            controller = _Bank(controller)
         self.net, self.controller = net, controller
+        self.C = len(controller.members) if isinstance(controller, _Bank) else None
         self.method, self.sub = method, _substages(method)
         n_steps = round(horizon / dt)
         if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)) or n_steps < 1:
@@ -307,12 +355,24 @@ class ScenarioStack:
             delta_star = solve_equilibrium(net)
         self.delta0 = np.stack([delta_star if s.x0 is None else s.x0.delta for s in scenarios])
         self.omega0 = np.stack([np.zeros(n) if s.x0 is None else s.x0.omega for s in scenarios])
-        self.a0 = np.zeros((B, n, l))
-        for b, s in enumerate(scenarios):
-            if s.x0 is not None and s.x0.a_hat.size:
-                if s.x0.a_hat.shape != (n, l):
-                    raise ValueError("initial estimates do not fit the controller")
-                self.a0[b] = s.x0.a_hat
+
+        def estimates(l_ctrl: int) -> np.ndarray:
+            a0 = np.zeros((B, n, l_ctrl))
+            for b, s in enumerate(scenarios):
+                if s.x0 is not None and s.x0.a_hat.size:
+                    if s.x0.a_hat.shape != (n, l_ctrl):
+                        raise ValueError("initial estimates do not fit the controller")
+                    a0[b] = s.x0.a_hat
+            return a0
+
+        if self.C is None:
+            self.a0 = estimates(l)
+        else:
+            self.delta0 = np.stack([self.delta0] * self.C)
+            self.omega0 = np.stack([self.omega0] * self.C)
+            self.a0 = np.zeros((self.C, B, n, l))
+            for c, m in enumerate(controller.members):
+                self.a0[c, ..., : m.n_features] = estimates(m.n_features)
         eta = self.basis.eta
         angle = (np.arange(FORCING_ROWS) * (dt / self.sub / DT_REF))[:, None, None, None] * eta
         self._turns = np.empty(angle.shape, dtype=complex)
@@ -400,10 +460,13 @@ def _forcing_rows(stack: ScenarioStack):
 def _derivs(net, controller, delta, omega, a_hat, p, view):
     """Closed-loop vector field, batched over leading axes; d_a is None for
     controllers without adaptive estimates."""
-    u = controller.control(omega, view, a_hat if controller.n_features else None)
+    if isinstance(controller, _Bank):
+        u, d_a = controller.feedback(omega, view, a_hat)
+    else:
+        u = controller.control(omega, view, a_hat if controller.n_features else None)
+        d_a = controller.adaptation(omega, view) if controller.n_features else None
     d_delta = coi_project(omega)
     d_omega = (p - net.D * omega - u - grad_S(net, delta)) / net.M
-    d_a = controller.adaptation(omega, view) if controller.n_features else None
     return d_delta, d_omega, d_a, u
 
 
@@ -437,14 +500,19 @@ def _advance(net, controller, d, w, a, dt, p_extra, k1, mid=None, end=None):
 
 
 def _check_finite(d, w, a, k: int, t: float) -> None:
-    """Raise IntegrationError naming step k (and, in a batch, the first bad row)."""
+    """Raise IntegrationError naming step k (and, in a batch, the first bad
+    row, searched controller by controller)."""
     if np.isfinite(d).all() and np.isfinite(w).all() and np.isfinite(a).all():
         return
     ok = np.isfinite(d).all(-1) & np.isfinite(w).all(-1) & np.isfinite(a).all((-2, -1))
-    row = int(np.argmin(ok))
+    first = int(np.argmin(ok))
+    ctrl, row = divmod(first, ok.shape[-1]) if ok.ndim == 2 else (None, first)
     where = f" in scenario {row}" if ok.size > 1 else ""
+    if ctrl is not None:
+        where += f" of controller {ctrl}"
     raise IntegrationError(
-        f"non-finite state{where} at step {k} (t={t:.6g})", row=row, step=k, t=t
+        f"non-finite state{where} at step {k} (t={t:.6g})",
+        row=row, controller=ctrl, step=k, t=t,
     )
 
 
@@ -543,22 +611,26 @@ RECORDS = ("delta", "omega", "u", "p", "a_hat")
 
 def _integrate(stack: ScenarioStack, record, observe=None) -> dict[str, np.ndarray]:
     """Integrate a stack's battery for `stack.n_steps` steps of `stack.dt`,
-    with the stack's network, controller and method.
+    with the stack's network, controller(s) and method.
 
     Returns time-major histories, (K+1, B, n) and (K+1, B, n, l) for a_hat,
     for the names in `record`; time-major keeps each step's batch contiguous
-    for the adjoint sweep.  `observe`, when given, is called at every record
-    as observe(k, delta, omega, a_hat) with the (B, ...) state, so a caller
+    for the adjoint sweep.  A stack of C controllers runs them all as one
+    batch on a leading controller axis: histories are (K+1, C, B, n) and
+    (K+1, C, B, n, L), and controller c's slice equals its own run bit for
+    bit.  `observe`, when given, is called at every record as
+    observe(k, delta, omega, a_hat, u) with the (B, ...) or (C, B, ...)
+    state and the control anchoring the step that starts there, so a caller
     can reduce the run as it goes instead of recording it.  Injections and
     features come from `_forcing_rows`; an RK4 step's end row is the next
-    step's first.  Raises IntegrationError naming scenario and step.
+    step's first.  Raises IntegrationError naming scenario, controller and
+    step.
     """
     net, controller, n_steps, dt = stack.net, stack.controller, stack.n_steps, stack.dt
     rows = _forcing_rows(stack)
     row, mid = next(rows), None
-    B, n, l = stack.B, stack.n, controller.n_features
     hist = {
-        name: np.empty((n_steps + 1, B, n) + ((l,) if name == "a_hat" else ()))
+        name: np.empty((n_steps + 1,) + (stack.a0 if name == "a_hat" else stack.delta0).shape)
         for name in record
     }
     d, w, a = stack.delta0, stack.omega0, stack.a0
@@ -572,7 +644,7 @@ def _integrate(stack: ScenarioStack, record, observe=None) -> dict[str, np.ndarr
             for name, arr in hist.items():
                 arr[k] = now[name]
             if observe is not None:
-                observe(k, d, w, a)
+                observe(k, d, w, a, k1[3])
             if k == n_steps:
                 break
             if stack.method == "rk4":
@@ -601,7 +673,10 @@ def rollout_batch(
     start from `delta_star`, solved for once when not given.  A row equals the
     lone `rollout` of its scenario up to the last bits: the network product's
     rounding depends on the batch size, so results are fixed by the battery,
-    never by how it is split.  IntegrationError names the scenario and step.
+    never by how it is split.  They do not depend on which other controllers
+    share the batch: a `ScenarioStack` of several controllers gives each
+    controller these rows bit for bit.  IntegrationError names the scenario
+    and step.
     """
     if "omega" not in record or not set(record) <= set(RECORDS):
         raise ValueError(f"record must name omega and only histories among {RECORDS}")

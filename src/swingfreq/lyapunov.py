@@ -362,7 +362,7 @@ def stream_energy(
     targets = _targets(controller, stack.basis.coeffs, stack.steps)
     target = None
 
-    def observe(k, delta, omega, a_hat):
+    def observe(k, delta, omega, a_hat, u):
         nonlocal target
         prev = None
         if targets is not None and k in targets:

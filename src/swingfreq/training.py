@@ -9,7 +9,9 @@ and training minimizes its batch average by gradient descent on the raw
 derivatives of the discretized rollout.  The forward pass is the explicit
 Euler case of the one integrator in `dynamics`, by default at `DT_REF` (the
 cadence the basis signals are defined over); certification and evaluation
-use its RK4 case.  gamma, the range the per-bus c_i are drawn from and the
+use its RK4 case; `score_battery` scores an evaluation battery through the
+integrator's observer, with `transient_loss` and `restoration_cost` as its
+oracle.  gamma, the range the per-bus c_i are drawn from and the
 loss horizon are module constants (`make_cost_spec`).  The backward pass
 walks the same recurrence with hand-written vector-Jacobian products for
 every term: network coupling via Hessian-vector products, controller terms
@@ -65,6 +67,7 @@ __all__ = [
     "make_cost_spec",
     "make_scenarios",
     "restoration_cost",
+    "score_battery",
     "train",
     "transient_loss",
 ]
@@ -139,17 +142,29 @@ def make_scenarios(
     return tuple(out)
 
 
+def _cost_end(cost: CostSpec, t: np.ndarray, dt: float) -> int:
+    """Record index of the cost horizon T on record times t from 0."""
+    k_end = round(cost.T / dt)
+    if k_end < 1 or k_end > t.shape[0] - 1:
+        raise ValueError(f"trajectory covers {t[-1]:g} s but the cost horizon is {cost.T:g} s")
+    return k_end
+
+
+def _window_mask(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Records with window[0] <= t <= window[1], to 1e-9 s."""
+    w0, w1 = window
+    if w1 > t[-1] + 1e-9:
+        raise ValueError(f"trajectory ends at {t[-1]:g} s, before the window end {w1:g} s")
+    return (t >= w0 - 1e-9) & (t <= w1 + 1e-9)
+
+
 def transient_loss(traj: Trajectory, cost: CostSpec) -> float:
     """Per-bus worst deviation plus the action integral over [0, T].
 
     The sup norm is taken over all recorded samples up to T inclusive; the
     integral is a left Riemann sum, so the record at T contributes no action.
     """
-    k_end = round(cost.T / traj.dt)
-    if k_end < 1 or k_end > traj.n_records - 1:
-        raise ValueError(
-            f"trajectory covers {traj.t[-1]:g} s but the cost horizon is {cost.T:g} s"
-        )
+    k_end = _cost_end(cost, traj.t, traj.dt)
     peak = np.abs(traj.omega[: k_end + 1]).max(axis=0)
     action = (traj.u[:k_end] ** 2).sum(axis=0) * traj.dt
     return float(peak.sum() + cost.gamma * (cost.c * action).sum())
@@ -159,13 +174,65 @@ def restoration_cost(
     traj: Trajectory, window: tuple[float, float] = RESTORE_WINDOW
 ) -> float:
     """Mean |omega| over all buses and records with window[0] <= t <= window[1]."""
-    w0, w1 = window
-    if w1 > traj.t[-1] + 1e-9:
-        raise ValueError(
-            f"trajectory ends at {traj.t[-1]:g} s, before the window end {w1:g} s"
-        )
-    mask = (traj.t >= w0 - 1e-9) & (traj.t <= w1 + 1e-9)
-    return float(np.abs(traj.omega[mask]).mean())
+    return float(np.abs(traj.omega[_window_mask(traj.t, window)]).mean())
+
+
+def score_battery(
+    net: Network,
+    controllers: Sequence[Controller],
+    scenarios: Sequence[Scenario],
+    cost: CostSpec,
+    *,
+    horizon: float,
+    dt: float,
+    method: str,
+    delta_star: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Evaluation scores of every controller on every scenario, (C, B) each.
+
+    The scores are those of a trajectory's tail from the `EVAL_ONSET`
+    record on: `nadir`, the largest |omega|; `transient_loss`; `restoration`,
+    the `restoration_cost`; `peak_u`, the largest |u|.  All controllers are
+    integrated as one batch on a leading controller axis, and an observer of
+    the integrator reduces each record as it comes, so no history is kept:
+    running maxima of |omega| (taken at the cost horizon for the transient
+    peak) and |u|, and running sums of u^2 over the action window and of
+    |omega| over the restoration window.  Every score but restoration equals
+    `transient_loss`, max |omega| or max |u| of the `rollout_batch` tail bit
+    for bit; restoration sums its mean in another order.
+    """
+    stack = ScenarioStack(net, controllers, scenarios, horizon, dt, method, delta_star)
+    t = np.arange(stack.n_steps + 1) * dt
+    k0 = int(np.searchsorted(t, EVAL_ONSET - 1e-9))  # as `Trajectory.tail`
+    if k0 > stack.n_steps:
+        raise ValueError(f"tail start {EVAL_ONSET:g} is past the horizon {t[-1]:g}")
+    tail_t = t[k0:] - t[k0]
+    k_peak = k0 + _cost_end(cost, tail_t, dt)
+    restore = np.zeros(t.shape, dtype=bool)
+    restore[k0:] = _window_mask(tail_t, RESTORE_WINDOW)
+    peak_w, peak_u, action, sum_w, peak_T = (np.zeros(stack.delta0.shape) for _ in range(5))
+
+    def observe(k, delta, omega, a_hat, u):
+        if k < k0:
+            return
+        abs_w = np.abs(omega)
+        np.maximum(peak_w, abs_w, out=peak_w)
+        np.maximum(peak_u, np.abs(u), out=peak_u)
+        if k < k_peak:
+            np.add(action, u**2, out=action)
+        elif k == k_peak:
+            np.copyto(peak_T, peak_w)
+        if restore[k]:
+            np.add(sum_w, abs_w, out=sum_w)
+
+    _integrate(stack, (), observe)
+    return {
+        "nadir": peak_w.max(axis=-1),
+        "transient_loss": peak_T.sum(axis=-1)
+        + cost.gamma * (cost.c * (action * dt)).sum(axis=-1),
+        "restoration": sum_w.sum(axis=-1) / (restore.sum() * stack.n),
+        "peak_u": peak_u.max(axis=-1),
+    }
 
 
 # --- Euler forward pass and adjoint ------------------------------------------

@@ -148,15 +148,17 @@ class TestSimulate:
             "adaptive, or a path to a controller JSON)\n"
         )
 
-    def test_controller_size_mismatch_exits_2_naming_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "certify"])
+    def test_controller_size_mismatch_exits_2_naming_it(self, command, tmp_path, capsys):
         path = tmp_path / "two.json"
         save_controller(DroopController.initial(2), path)
-        rc = main(["simulate", "--case", "ne39", "--controller", str(path),
-                   "--horizon", "1", "--out", str(tmp_path / "out")])
+        rc = main([command, "--case", "ne39", "--controller", str(path),
+                   "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: controller 'two' is sized for 2 buses but the case has 39\n"
+            f"error: controller '{path}' is sized for 2 buses but the case has 39\n"
         )
+        assert not (tmp_path / "out").exists()
 
     def test_missing_case_exits_2_naming_path(self, tmp_path, capsys):
         rc = main([
@@ -278,7 +280,7 @@ class TestTrain:
                    "--epochs", "1", "--out", str(tmp_path / "resumed")])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: controller 'checkpoint' is sized for 2 buses but the case has 39\n"
+            f"error: controller '{path}' is sized for 2 buses but the case has 39\n"
         )
 
     def test_checkpoint_holding_a_list_exits_2(self, tmp_path, capsys):
@@ -446,15 +448,76 @@ class TestEvaluate:
 
     def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
         args = ["evaluate", "--case", "two_bus", "--controller", "droop",
-                "--scenarios", "4"]
+                "--controller", "pwl", "--controller", "adaptive", "--scenarios", "4"]
         monkeypatch.setenv("SWINGFREQ_THREADS", "1")
         assert main(args + ["--out", str(tmp_path / "serial")]) == 0
         monkeypatch.setenv("SWINGFREQ_THREADS", "3")
         assert main(args + ["--out", str(tmp_path / "pooled")]) == 0
-        assert (
-            (tmp_path / "serial" / "comparison.csv").read_bytes()
-            == (tmp_path / "pooled" / "comparison.csv").read_bytes()
+        for name in ("comparison.csv", "comparison.json"):
+            assert (
+                (tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "pooled" / name).read_bytes()
+            )
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--dt", "0.02", "--horizon", "20", "--euler", "--noise", "0.05"]],
+        ids=["defaults", "off-grid"],
+    )
+    def test_rows_match_the_oracles(self, flags, ne39, ne39_eq, tmp_path):
+        # each row is the tail from the onset of the controller's own
+        # rollout, scored by the oracles; restoration sums in another order
+        from swingfreq.cli import EVAL_ONSET, _fresh_controller
+        from swingfreq.dynamics import rollout_batch
+        from swingfreq.training import (
+            make_cost_spec, make_scenarios, restoration_cost, transient_loss,
         )
+
+        kinds = ("droop", "integral", "adaptive")
+        argv = ["evaluate", "--case", "ne39", "--scenarios", "3", "--seed", "4", *flags]
+        for kind in kinds:
+            argv += ["--controller", kind]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        rows = iter(json.loads((tmp_path / "comparison.json").read_text())["rows"])
+        args = build_parser().parse_args(argv)
+        scens = make_scenarios(ne39, 3, 4, noise_eps=args.noise, onset=EVAL_ONSET)
+        cost = make_cost_spec(ne39, 4)
+        for kind in kinds:
+            trajs = rollout_batch(
+                ne39, _fresh_controller(kind, ne39.n), scens, horizon=args.horizon,
+                dt=args.dt, method=args.method, delta_star=ne39_eq, record=("omega", "u"),
+            )
+            for traj in trajs:
+                row, tail = next(rows), traj.tail(EVAL_ONSET)
+                assert row["controller"] == kind
+                assert row["nadir"] == float(np.abs(tail.omega).max())
+                assert row["transient_loss"] == transient_loss(tail, cost)
+                assert row["peak_u"] == float(np.abs(tail.u).max())
+                assert row["restoration"] == pytest.approx(
+                    restoration_cost(tail), rel=1e-12, abs=0
+                )
+        assert next(rows, None) is None
+
+    def test_controllers_are_one_batch_without_histories(self, tmp_path, monkeypatch):
+        from swingfreq import dynamics, lyapunov, training
+
+        calls = []
+        integrate = dynamics._integrate
+
+        def recording(stack, record, observe=None):
+            hist = integrate(stack, record, observe)
+            calls.append((stack.C, stack.B, stack.method, tuple(record),
+                          observe is not None, hist))
+            return hist
+
+        for mod in (dynamics, lyapunov, training):
+            monkeypatch.setattr(mod, "_integrate", recording)
+        assert main([
+            "evaluate", "--case", "two_bus", "--controller", "droop",
+            "--controller", "pwl", "--controller", "adaptive",
+            "--scenarios", "3", "--out", str(tmp_path),
+        ]) == 0
+        # three controllers on three scenarios, reduced by an observer
+        assert calls == [(3, 3, "rk4", (), True, {})]
 
     def test_bad_thread_cap_exits_2(self, tmp_path, monkeypatch, capsys):
         for bad in ("0", "abc"):
@@ -778,13 +841,32 @@ class TestSharedInputs:
         assert not (tmp_path / "out").exists()
 
     def test_evaluate_names_the_diverging_controller(self, tmp_path, capsys):
-        path = tmp_path / "lin300.json"
-        save_controller(LinearController(np.full(2, -300.0)), path)
-        rc = main(["evaluate", "--case", "two_bus", "--controller", "droop",
-                   "--controller", str(path), "--scenarios", "2", "--out", str(tmp_path)])
-        assert rc == 1
-        assert re.search(
-            r"error: controller 'lin300' diverged in scenario 0 \([0-9a-f]{12}\): "
-            r"non-finite state at step \d+ \(t=\d+\.\d+\)",
-            capsys.readouterr().err,
-        )
+        # the shared batch stops at the earliest diverging step and names the
+        # first controller, in command-line order, that diverged there
+        for name, gain in (("lin300", -300.0), ("twin", -300.0), ("lin3000", -3000.0)):
+            save_controller(LinearController(np.full(2, gain)), tmp_path / f"{name}.json")
+
+        def diverging(*names):
+            argv = ["evaluate", "--case", "two_bus", "--scenarios", "2",
+                    "--out", str(tmp_path / "out")]
+            for name in names:
+                argv += ["--controller",
+                         name if name == "droop" else str(tmp_path / f"{name}.json")]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            found = re.fullmatch(
+                r"error: controller '(\w+)' diverged in scenario 0 \([0-9a-f]{12}\): "
+                r"non-finite state at step (\d+) \(t=\d+\.\d+\)\n", err,
+            )
+            assert found, err
+            assert not (tmp_path / "out").exists()
+            return found[1], int(found[2])
+
+        _, k300 = diverging("lin300")
+        _, k3000 = diverging("lin3000")
+        assert k3000 < k300
+        assert diverging("lin300", "droop") == ("lin300", k300)
+        assert diverging("droop", "lin300") == ("lin300", k300)
+        assert diverging("lin300", "twin") == ("lin300", k300)
+        assert diverging("twin", "lin300") == ("twin", k300)
+        assert diverging("lin300", "lin3000") == ("lin3000", k3000)

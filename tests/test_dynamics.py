@@ -21,6 +21,7 @@ from swingfreq.dynamics import (
     ScenarioStack,
     SystemState,
     _forcing_rows,
+    _integrate,
     make_constant_basis,
     make_sinusoid_basis,
     rollout,
@@ -392,6 +393,69 @@ class TestRolloutBatch:
         k = lone.value.args[0].split("step ")[1].split()[0]
         with pytest.raises(IntegrationError, match=rf"in scenario 1 at step {k} "):
             rollout_batch(two_bus, ctrl, [quiet, kicked], horizon=8.0, method="euler")
+
+
+class TestSharedBatch:
+    """Several controllers on one battery as one (C, B, n) batch."""
+
+    @staticmethod
+    def check_rows(net, delta_star, ctrls, scens, method, horizon=3.0):
+        stack = ScenarioStack(net, ctrls, scens, horizon, 0.01, method, delta_star)
+        assert stack.C == len(ctrls)
+        hist = _integrate(stack, ("omega", "u", "a_hat"))
+        for c, ctrl in enumerate(ctrls):
+            alone = rollout_batch(net, ctrl, scens, horizon=horizon, dt=0.01,
+                                  method=method, delta_star=delta_star)
+            l = ctrl.n_features
+            for b, traj in enumerate(alone):
+                assert np.array_equal(hist["omega"][:, c, b], traj.omega)
+                assert np.array_equal(hist["u"][:, c, b], traj.u)
+                assert np.array_equal(hist["a_hat"][:, c, b, :, :l], traj.a_hat)
+                assert not hist["a_hat"][:, c, b, :, l:].any()
+
+    @pytest.mark.parametrize("method, noise", [("rk4", 0.0), ("euler", 0.0), ("rk4", 0.05)])
+    def test_rows_equal_each_controller_alone(self, ne39, ne39_eq, method, noise):
+        n = ne39.n
+        ctrls = [
+            DroopController.initial(n),
+            AdaptiveController.initial(MonotonePWLController.initial(n), 1,
+                                       feature_mode="constant"),
+            AdaptiveController.initial(MonotonePWLController.initial(n), 3),
+        ]
+        scens = [
+            Scenario(Disturbance(steps=((b + 3, 0.6 - b, 0.5),), noise_eps=noise, seed=b),
+                     make_sinusoid_basis(n, b))
+            for b in range(2)
+        ]
+        self.check_rows(ne39, ne39_eq, ctrls, scens, method)
+
+    def test_initial_estimates_fill_each_controller(self, ne39, ne39_eq):
+        pwl = MonotonePWLController.initial(ne39.n)
+        ctrls = [AdaptiveController.initial(pwl, 3),
+                 SaturatedController(AdaptiveController.initial(pwl, 3, rate=0.5), 0.2)]
+        scens = TestRolloutBatch.battery(ne39, ne39_eq)
+        self.check_rows(ne39, ne39_eq, ctrls, scens, "rk4", horizon=1.0)
+
+    def test_divergence_names_controller_scenario_and_step(self, two_bus):
+        lin = LinearController(np.array([-300.0, -300.0]))
+        quiet = Scenario(Disturbance(), make_constant_basis(2))
+        kicked = Scenario(Disturbance(steps=((0, 0.5, 0.0),)), make_constant_basis(2))
+        with pytest.raises(IntegrationError) as lone:
+            rollout_batch(two_bus, lin, [quiet, kicked], horizon=8.0, method="euler")
+        k = lone.value.step
+        stack = ScenarioStack(two_bus, [DroopController.initial(2), lin, lin],
+                              [quiet, kicked], 8.0, 0.01, "euler")
+        with pytest.raises(IntegrationError,
+                           match=rf"in scenario 1 of controller 1 at step {k} ") as shared:
+            _integrate(stack, ())
+        err = shared.value
+        assert (err.controller, err.row, err.step) == (1, 1, k)
+        assert lone.value.controller is None
+
+    def test_empty_controller_sequence(self, two_bus):
+        scens = [Scenario(Disturbance(), make_constant_basis(2))]
+        with pytest.raises(ValueError, match="no controller to integrate"):
+            ScenarioStack(two_bus, [], scens, 1.0, 0.01, "rk4")
 
 
 class TestStackRefusals:
