@@ -191,7 +191,8 @@ def _scenario_hash(scen: Scenario) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite number raises ValueError before the file is written."""
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -385,13 +386,23 @@ def cmd_evaluate(args) -> int:
         ]
         rows += mine
         stats: dict[str, float] = {"n_scenarios": len(mine)}
-        for c in cols:
-            vals = [r[c] for r in mine]
-            stats[f"{c}_mean"] = float(np.mean(vals))
-            stats[f"{c}_se"] = (
-                float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-            )
+        # huge but finite scores overflow here; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in cols:
+                vals = [r[c] for r in mine]
+                stats[f"{c}_mean"] = float(np.mean(vals))
+                stats[f"{c}_se"] = (
+                    float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+                )
         summary[label] = stats
+        # nothing is written for a run whose outputs cannot be strict JSON
+        values = [(f"{c} in scenario {b} ({r['scenario_hash']})", r[c])
+                  for b, r in enumerate(mine) for c in cols]
+        bad = next(((k, v) for k, v in values + list(stats.items()) if not np.isfinite(v)), None)
+        if bad is not None:
+            raise IntegrationError(
+                f"controller {label!r} has a non-finite {bad[0]}: {bad[1]}; nothing written"
+            )
     set_hash = hashlib.sha256("".join(hashes).encode()).hexdigest()[:12]
 
     out = _out_dir(args)

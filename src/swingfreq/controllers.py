@@ -17,6 +17,14 @@ state, not here, which keeps rollouts and backpropagation purely functional.
 Every controller exposes its trainable parameters as one flat unconstrained
 vector (`raw_parameters` / `with_raw_parameters`) plus the vector-Jacobian
 hooks the training module needs.
+
+The adaptive hooks are feature-first: for frequencies omega of shape
+(..., n), features phi and estimates ahat have shape (l,) + omega.shape,
+one contiguous slab per feature, the layout of the integrator's packed
+state.  Public layouts stay bus-major: `raw_rate` and `rates` are (n, l), and
+the raw parameter vector holds raw_rate in that order.  `control` and
+`adaptation` write into `out` when given, so the integrator fills its stage
+buffers without a copy.
 """
 
 from __future__ import annotations
@@ -96,17 +104,6 @@ def _freeze(obj, **arrays: np.ndarray) -> None:
         object.__setattr__(obj, name, arr)
 
 
-def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # same result as (a * b).sum(-1): ufunc reduction is sequential below
-    # 8 lanes, and the unrolled form skips the short-axis iterator overhead
-    if a.shape[-1] >= 8:
-        return (a * b).sum(axis=-1)
-    acc = a[..., 0] * b[..., 0]
-    for j in range(1, a.shape[-1]):
-        acc = acc + a[..., j] * b[..., j]
-    return acc
-
-
 class Controller(ABC):
     """Common interface; all evaluation methods broadcast over leading axes."""
 
@@ -118,9 +115,10 @@ class Controller(ABC):
         return 0
 
     def select_features(self, phi: np.ndarray | None) -> np.ndarray | None:
-        """Pick this controller's feature view out of a full basis evaluation.
+        """Pick this controller's feature view out of a full basis evaluation,
+        feature axis first, (m + 1,) + omega.shape.
 
-        The constant-1 feature is the last basis column by module contract.
+        The constant-1 feature is the last basis feature by module contract.
         """
         return None
 
@@ -130,7 +128,11 @@ class Controller(ABC):
         omega: np.ndarray,
         phi: np.ndarray | None = None,
         a_hat: np.ndarray | None = None,
-    ) -> np.ndarray: ...
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """u at frequencies omega (..., n), written into `out` when given; an
+        adaptive controller also takes its feature view phi and estimates
+        a_hat, both (l,) + omega.shape."""
 
     @abstractmethod
     def control_wrt_omega(self, omega: np.ndarray) -> np.ndarray:
@@ -155,7 +157,8 @@ class Controller(ABC):
     def control_vjp_raw(self, omega: np.ndarray, bar_u: np.ndarray) -> np.ndarray:
         """Accumulate d(sum bar_u * u)/d(raw), summing over leading axes."""
 
-    def adaptation(self, omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def adaptation(self, omega: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
+        """Estimate rates d(ahat)/dt, (l,) + omega.shape, written into `out` when given."""
         raise ControllerError("controller has no adaptation dynamics")
 
     def _check_raw(self, raw: np.ndarray, size: int) -> np.ndarray:
@@ -201,8 +204,8 @@ class DroopController(Controller):
     def gains(self) -> np.ndarray:
         return self._gains
 
-    def control(self, omega, phi=None, a_hat=None):
-        return self.gains * np.asarray(omega, dtype=float)
+    def control(self, omega, phi=None, a_hat=None, out=None):
+        return np.multiply(self.gains, omega, out=out)
 
     def control_wrt_omega(self, omega):
         return np.broadcast_to(self.gains, np.shape(omega))
@@ -241,7 +244,7 @@ class MonotonePWLController(Controller):
 
     breakpoints: np.ndarray
     raw_slopes: np.ndarray
-    _ref: np.ndarray = field(init=False, repr=False)
+    _refs: np.ndarray = field(init=False, repr=False)
     _overlap: np.ndarray = field(init=False, repr=False)
     _slopes: np.ndarray = field(init=False, repr=False)
     _dslopes: np.ndarray = field(init=False, repr=False)
@@ -268,9 +271,9 @@ class MonotonePWLController(Controller):
         slopes = softplus(raw)
         m1 = bp.size + 1
         _freeze(
-            self, breakpoints=bp, raw_slopes=raw, _ref=ref, _overlap=overlap,
+            self, breakpoints=bp, raw_slopes=raw, _overlap=overlap,
             _slopes=slopes, _dslopes=sigmoid(raw), _values=slopes @ overlap.T,
-            _bus_offset=np.arange(0, raw.shape[0] * m1, m1),
+            _bus_offset=np.arange(0, raw.shape[0] * m1, m1), _refs=np.tile(ref, raw.shape[0]),
         )
 
     @classmethod
@@ -288,19 +291,17 @@ class MonotonePWLController(Controller):
     def slopes(self) -> np.ndarray:
         return self._slopes
 
-    def _segments(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Segment index of each omega and its flat (bus, segment) table index."""
-        seg = self.breakpoints.searchsorted(omega, side="left")
-        return seg, seg + self._bus_offset
+    def _segments(self, omega: np.ndarray) -> np.ndarray:
+        """Flat (bus, segment) table index of each omega."""
+        return self.breakpoints.searchsorted(omega, side="left") + self._bus_offset
 
-    def control(self, omega, phi=None, a_hat=None):
-        omega = np.asarray(omega, dtype=float)
-        seg, flat = self._segments(omega)
-        offset = omega - self._ref.take(seg)
-        return self._values.take(flat) + self._slopes.take(flat) * offset
+    def control(self, omega, phi=None, a_hat=None, out=None):
+        flat = self._segments(omega)
+        offset = omega - self._refs.take(flat)
+        return np.add(self._values.take(flat), self._slopes.take(flat) * offset, out=out)
 
     def control_wrt_omega(self, omega):
-        return self._slopes.take(self._segments(np.asarray(omega, dtype=float))[1])
+        return self._slopes.take(self._segments(omega))
 
     def raw_parameters(self):
         return self.raw_slopes.ravel().copy()
@@ -315,9 +316,9 @@ class MonotonePWLController(Controller):
         bar = np.asarray(bar_u, dtype=float)
         if bar.shape != omega.shape:
             omega, bar = np.broadcast_arrays(omega, bar)
-        seg, flat = self._segments(omega)
+        flat = self._segments(omega)
+        offset = (omega - self._refs.take(flat)).ravel()
         flat, bar = flat.ravel(), bar.ravel()
-        offset = (omega - self._ref.take(seg)).ravel()
         size, shape = self._slopes.size, self._slopes.shape
         total = np.bincount(flat, bar, size).reshape(shape)
         moment = np.bincount(flat, bar * offset, size).reshape(shape)
@@ -346,8 +347,8 @@ class LinearController(Controller):
     def n(self) -> int:  # type: ignore[override]
         return self.gain.size
 
-    def control(self, omega, phi=None, a_hat=None):
-        return self.gain * np.asarray(omega, dtype=float)
+    def control(self, omega, phi=None, a_hat=None, out=None):
+        return np.multiply(self.gain, omega, out=out)
 
     def control_wrt_omega(self, omega):
         return np.broadcast_to(self.gain, np.shape(omega))
@@ -378,6 +379,7 @@ class AdaptiveController(Controller):
     raw_rate: np.ndarray
     feature_mode: str = "basis"
     _rates: np.ndarray = field(init=False, repr=False)
+    _rates_t: np.ndarray = field(init=False, repr=False)
     _drates: np.ndarray = field(init=False, repr=False)
     _n_base_raw: int = field(init=False, repr=False)
 
@@ -392,7 +394,8 @@ class AdaptiveController(Controller):
             raise ControllerError(f"unknown feature_mode {self.feature_mode!r}")
         if self.feature_mode == "constant" and raw.shape[1] != 1:
             raise ControllerError("constant feature mode implies a single feature")
-        _freeze(self, raw_rate=raw, _rates=RATE_FLOOR + softplus(raw), _drates=sigmoid(raw))
+        rates = RATE_FLOOR + softplus(raw)
+        _freeze(self, raw_rate=raw, _rates=rates, _rates_t=rates.T.copy(), _drates=sigmoid(raw))
         object.__setattr__(self, "_n_base_raw", self.base.raw_parameters().size)
 
     @classmethod
@@ -435,11 +438,11 @@ class AdaptiveController(Controller):
         if phi is None:
             raise ControllerError("adaptive controller needs basis features")
         phi = np.asarray(phi, dtype=float)
-        view = phi[..., -1:] if self.feature_mode == "constant" else phi
-        if view.shape[-1] != self.n_features:
+        view = phi[-1:] if self.feature_mode == "constant" else phi
+        if view.shape[0] != self.n_features:
             raise ControllerError(
                 f"controller expects {self.n_features} features, basis provides "
-                f"{view.shape[-1]}"
+                f"{view.shape[0]}"
             )
         return view
 
@@ -448,23 +451,30 @@ class AdaptiveController(Controller):
             raise ControllerError("adaptive control needs phi and a_hat")
         phi = np.asarray(phi, dtype=float)
         a_hat = np.asarray(a_hat, dtype=float)
-        if phi.shape[-1] != a_hat.shape[-1]:
+        if phi.shape[0] != a_hat.shape[0]:
             raise ControllerError(
-                f"feature/estimate length mismatch: {phi.shape[-1]} vs {a_hat.shape[-1]}"
+                f"feature/estimate length mismatch: {phi.shape[0]} vs {a_hat.shape[0]}"
             )
         return phi, a_hat
 
-    def control(self, omega, phi=None, a_hat=None):
+    def _rates_like(self, omega: np.ndarray) -> np.ndarray:
+        """The rates feature-first, (l, 1, ..., 1, n), broadcasting against phi."""
+        return self._rates_t[(slice(None),) + (None,) * (omega.ndim - 1)]
+
+    def control(self, omega, phi=None, a_hat=None, out=None):
+        """base(omega) + sum_j phi_j ahat_j; phi and a_hat are (l,) + omega.shape."""
         phi, a_hat = self._check_view(phi, a_hat)
-        return self.base.control(omega) + _dot_last(phi, a_hat)
+        u = self.base.control(omega, out=out)
+        # summed over the leading feature axis, one feature after another
+        return np.add(u, np.add.reduce(phi * a_hat, 0), out=u)
 
     def control_wrt_omega(self, omega):
         return self.base.control_wrt_omega(omega)
 
-    def adaptation(self, omega, phi):
-        """d(ahat)/dt = omega_i * A_i phi_i, shape (..., n, n_features)."""
+    def adaptation(self, omega, phi, out=None):
+        """d(ahat)/dt = omega_i * A_i phi_i, shape (l,) + omega.shape."""
         omega = np.asarray(omega, dtype=float)
-        return omega[..., None] * self.rates * np.asarray(phi, dtype=float)
+        return np.multiply(omega * self._rates_like(omega), phi, out=out)
 
     @property
     def rate_block(self) -> slice:
@@ -473,23 +483,28 @@ class AdaptiveController(Controller):
 
     def adaptation_vjp(
         self, omega: np.ndarray, phi: np.ndarray, bar_da: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """VJP of `adaptation`: returns (gradient of the `rate_block`, bar_omega).
+    ) -> np.ndarray:
+        """VJP of `adaptation` for the rates: the gradient of the `rate_block`.
 
-        Adaptation does not depend on the base parameters, so only the rate
-        block of the raw gradient is returned, in the flat raw_rate order.
+        phi and bar_da are (l,) + omega.shape; the products are summed over
+        every leading axis of omega, so a caller can pass a block of steps at
+        once.  Adaptation does not depend on the base parameters, so only the
+        rate block of the raw gradient is returned, in the flat raw_rate order.
         """
         omega = np.asarray(omega, dtype=float)
+        prod = np.asarray(bar_da, dtype=float) * omega
+        prod *= phi  # in place: a block's product is its largest temporary
+        bar_rate = prod.sum(axis=tuple(range(1, omega.ndim)))  # (l, n)
+        return (bar_rate.T * self._drates).ravel()
+
+    def adaptation_vjp_omega(self, phi: np.ndarray, bar_da: np.ndarray) -> np.ndarray:
+        """VJP of `adaptation` for omega: sum_j bar_da_j A_j phi_j, phi.shape[1:]."""
         phi = np.asarray(phi, dtype=float)
-        bar_da = np.asarray(bar_da, dtype=float)
-        bar_omega = _dot_last(bar_da * self.rates, phi)
-        bar_rate = (bar_da * omega[..., None] * phi).reshape(
-            -1, *self.raw_rate.shape
-        ).sum(axis=0)
-        return (bar_rate * self._drates).ravel(), bar_omega
+        return (np.asarray(bar_da, dtype=float) * self._rates_like(phi[0]) * phi).sum(axis=0)
 
     def control_vjp_ahat(self, phi: np.ndarray, bar_u: np.ndarray) -> np.ndarray:
-        return np.asarray(bar_u, dtype=float)[..., None] * np.asarray(phi, dtype=float)
+        """VJP of `control` for the estimates, (l,) + bar_u.shape."""
+        return np.asarray(bar_u, dtype=float) * np.asarray(phi, dtype=float)
 
     def raw_parameters(self):
         return np.concatenate([self.base.raw_parameters(), self.raw_rate.ravel()])
@@ -538,11 +553,12 @@ class SaturatedController(Controller):
     def select_features(self, phi):
         return self.inner.select_features(phi)
 
-    def adaptation(self, omega, phi):
-        return self.inner.adaptation(omega, phi)
+    def adaptation(self, omega, phi, out=None):
+        return self.inner.adaptation(omega, phi, out)
 
-    def control(self, omega, phi=None, a_hat=None):
-        return np.clip(self.inner.control(omega, phi, a_hat), -self.u_max, self.u_max)
+    def control(self, omega, phi=None, a_hat=None, out=None):
+        u = self.inner.control(omega, phi, a_hat, out)
+        return np.clip(u, -self.u_max, self.u_max, out=u)
 
     def control_wrt_omega(self, omega):
         raise ControllerError("training through saturation is not supported")

@@ -18,26 +18,35 @@ grid.
 
 Angles are re-projected to the COI gauge (zero mean) after every step.
 
-There is one integrator, `_integrate`: it advances a `ScenarioStack` with
-state shape (B, n), evaluating injections and the controller for every
-scenario in one call per stage, and returns time-major histories of what it
-is asked to record, or hands each record's state and control to an
-observer.  A stack of several controllers adds a leading controller axis,
-(C, B, n): the network terms, the stage sums, the COI projection, the
+There is one integrator, `_integrate`: it advances a `ScenarioStack`,
+evaluating injections and the controller for every scenario in one call per
+stage, and returns time-major histories of what it is asked to record, or
+hands each record's state and control to an observer.  A run's state is one
+packed array whose rows are delta, omega and the estimates ahat_1 ... ahat_L,
+each a contiguous (B, n) slab: shape (2 + L, B, n), L the controller's
+feature count.  Each stage input, the RK4 combination, the COI re-projection
+of row 0 and the finite check are one operation on that array, and every
+stage writes its derivatives into its own buffer of the same shape.  The
+controller hooks are feature-first to match: phi and ahat are (l, B, n).  A
+stack of several controllers adds a controller axis after the rows,
+(2 + L, C, B, n): the network terms, the stage sums, the COI projection, the
 finite check and the forcing run once per stage for all of them, and only
 each controller's `control` and `adaptation` run per slice, each on its own
 feature view of the shared phi; estimates are padded to the largest feature
 count with zero rates in the unused slots.  A controller's rows are bit for
-bit those of its own (B, n) run.  A stack is the one description of a run
-and the one path from scenarios to stacked arrays: it holds the network, the
-controller(s), the method and the step count derived from the horizon, a
-stacked `BasisSignal`, one stream of per-step injections and one blocked
-forcing stream.  The forcing stream builds phi alone on one grid of
-`FORCING_ROWS` stage rows per block: the first row by `np.sin`, the rest in
-one multiply by a turn table stored with the stack, so a block rebuilt later
-(the adjoint walks them in reverse) is bit-identical.  The integrator forms
-p_star + phi.a per block; RK4's last stage and the next step's first share a
-row.
+bit those of its own (B, n) run.  Public layouts stay bus-major and are
+converted at the stack boundary: `SystemState.a_hat` (n, l),
+`Trajectory.a_hat` (K+1, n, l) and `BasisSignal.features` (..., n, l).
+
+A stack is the one description of a run and the one path from scenarios to
+stacked arrays: it holds the network, the controller(s), the method and the
+step count derived from the horizon, a stacked `BasisSignal`, one stream of
+per-step injections and one blocked forcing stream.  The forcing stream
+builds phi alone, feature-first, on one grid of `FORCING_ROWS` stage rows per
+block: the first row by `np.sin`, the rest in one multiply by a turn table
+stored with the stack, so a block rebuilt later (the adjoint walks them in
+reverse) is bit-identical.  The integrator forms p_star + phi.a per block;
+RK4's last stage and the next step's first share a row.
 `rollout_batch` wraps the integrator for scenario batteries, `rollout` is
 the batch-of-one case, `step` advances a lone state through the same stage
 code with its own per-stage features, training calls `_integrate` directly
@@ -261,36 +270,21 @@ def _substages(method: str) -> int:
     return SUBSTAGES[method]
 
 
-class _Bank:
-    """Several controllers integrated side by side on a leading axis, (C, B, n).
+class _Stage:
+    """Views, taken once per run, of one stage's packed input state x, its
+    derivative buffer k and the control u, ([C,] B, n): the network rows, and
+    per controller its slice of omega, of its l estimate rows, of u and of
+    the estimate rates in k.  A tuple of C controllers gives each its slice
+    c; estimate rows a controller has no feature for keep k's zeros."""
 
-    Estimates are (C, B, n, L), L the largest feature count; a controller
-    with l < L features owns the first l slots and the rest stay zero.
-    """
-
-    def __init__(self, members: Sequence[Controller]):
-        if not members:
-            raise ValueError("no controller to integrate")
-        self.members = tuple(members)
-        self.n_features = max(m.n_features for m in self.members)
-
-    def select_features(self, phi: np.ndarray) -> np.ndarray | None:
-        """The shared phi; each member picks its own view per stage."""
-        return phi if self.n_features else None
-
-    def feedback(self, omega, phi, a_hat):
-        """Control u, (C, B, n), and estimate rates, (C, B, n, L) or None."""
-        u = np.empty(omega.shape)
-        d_a = np.zeros(a_hat.shape) if self.n_features else None
-        for c, m in enumerate(self.members):
-            l = m.n_features
-            if l:
-                view = m.select_features(phi)
-                u[c] = m.control(omega[c], view, a_hat[c, ..., :l])
-                d_a[c, ..., :l] = m.adaptation(omega[c], view)
-            else:
-                u[c] = m.control(omega[c])
-        return u, d_a
+    def __init__(self, controller, x, k, u):
+        self.delta, self.omega, self.d_delta, self.d_omega, self.u = x[0], x[1], k[0], k[1], u
+        members = enumerate(controller) if isinstance(controller, tuple) else ((None, controller),)
+        self.members = []
+        for c, m in members:
+            at = () if c is None else (c,)
+            rows = (slice(2, 2 + m.n_features), *at)
+            self.members.append((m, m.n_features, x[(1, *at)], x[rows], u[at], k[rows]))
 
 
 class ScenarioStack:
@@ -300,16 +294,17 @@ class ScenarioStack:
 
     It serves one integration `method`, of `sub` stage rows per step, over
     `n_steps` steps of `dt`, derived from `horizon` (a multiple of dt).
-    `basis` stacks the scenarios' bases, (B, n, l); `forcing()` builds phi a
-    block of stage rows at a time; `injections()` streams each
+    `basis` stacks the scenarios' bases, (B, n, m + 1); `forcing()` builds
+    phi a block of stage rows at a time; `injections()` streams each
     step's step-plus-noise injection, (B, n), each noisy row drawing its
     step's noise from its own seeded stream, as a lone rollout of that
-    scenario draws it; `delta0`, `omega0` (B, n) and `a0` (B, n, l_ctrl),
-    l_ctrl the controller's feature count, are the initial states; `steps`
-    is the battery's `_step_table`.  Nothing here is horizon-long.  Given a
-    sequence of C controllers, `C` is set (else None) and the initial states
-    gain a leading controller axis: (C, B, n), and (C, B, n, L) padded with
-    zeros, L the largest feature count.
+    scenario draws it; `x0` is the packed initial state, (2 + L, B, n) with
+    rows delta, omega and the L estimates of the controller's features;
+    `steps` is the battery's `_step_table`.  Nothing here is horizon-long.
+    Given a sequence of C controllers, `controller` is their tuple, `C` is
+    set (else None), the state gains a controller axis after its rows,
+    (2 + L, C, B, n), and L is the largest feature count, a controller's
+    unused estimate rows zero.
     """
 
     def __init__(
@@ -322,10 +317,11 @@ class ScenarioStack:
         method: str,
         delta_star: np.ndarray | None = None,
     ):
-        if not isinstance(controller, Controller):
-            controller = _Bank(controller)
-        self.net, self.controller = net, controller
-        self.C = len(controller.members) if isinstance(controller, _Bank) else None
+        members = (controller,) if isinstance(controller, Controller) else tuple(controller)
+        if not members:
+            raise ValueError("no controller to integrate")
+        self.C = None if isinstance(controller, Controller) else len(members)
+        self.net, self.controller = net, members[0] if self.C is None else members
         self.method, self.sub = method, _substages(method)
         n_steps = round(horizon / dt)
         if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)) or n_steps < 1:
@@ -339,7 +335,7 @@ class ScenarioStack:
                 raise ValueError("scenario basis does not match the network")
             if s.basis.n_features != first.n_features:
                 raise ValueError("scenarios in a batch must share the basis layout")
-        n, l = net.n, controller.n_features
+        n, l = net.n, max(m.n_features for m in members)
         self.B, self.n, self.dt, self.n_steps = B, n, dt, n_steps
         self.basis = BasisSignal(
             np.stack([s.basis.eta for s in scenarios]),
@@ -353,33 +349,27 @@ class ScenarioStack:
         ]
         if delta_star is None and any(s.x0 is None for s in scenarios):
             delta_star = solve_equilibrium(net)
-        self.delta0 = np.stack([delta_star if s.x0 is None else s.x0.delta for s in scenarios])
-        self.omega0 = np.stack([np.zeros(n) if s.x0 is None else s.x0.omega for s in scenarios])
-
-        def estimates(l_ctrl: int) -> np.ndarray:
-            a0 = np.zeros((B, n, l_ctrl))
-            for b, s in enumerate(scenarios):
-                if s.x0 is not None and s.x0.a_hat.size:
-                    if s.x0.a_hat.shape != (n, l_ctrl):
+        x0 = np.zeros((2 + l, len(members), B, n))
+        for b, s in enumerate(scenarios):
+            if s.x0 is None:
+                x0[0, :, b] = delta_star
+                continue
+            x0[0, :, b], x0[1, :, b] = s.x0.delta, s.x0.omega
+            if s.x0.a_hat.size:
+                for c, m in enumerate(members):
+                    if s.x0.a_hat.shape != (n, m.n_features):
                         raise ValueError("initial estimates do not fit the controller")
-                    a0[b] = s.x0.a_hat
-            return a0
-
-        if self.C is None:
-            self.a0 = estimates(l)
-        else:
-            self.delta0 = np.stack([self.delta0] * self.C)
-            self.omega0 = np.stack([self.omega0] * self.C)
-            self.a0 = np.zeros((self.C, B, n, l))
-            for c, m in enumerate(controller.members):
-                self.a0[c, ..., : m.n_features] = estimates(m.n_features)
-        eta = self.basis.eta
+                    x0[2 : 2 + m.n_features, c, b] = s.x0.a_hat.T
+        self.x0 = x0 if self.C is not None else x0[:, 0]
+        # feature-first: one contiguous (B, n) slab per feature and stage row
+        eta = np.ascontiguousarray(np.moveaxis(self.basis.eta, -1, 0))
+        self._eta, self._coeffs = eta, np.ascontiguousarray(np.moveaxis(self.basis.coeffs, -1, 0))
         angle = (np.arange(FORCING_ROWS) * (dt / self.sub / DT_REF))[:, None, None, None] * eta
         self._turns = np.empty(angle.shape, dtype=complex)
         np.cos(angle, out=self._turns.real)
         np.sin(angle, out=self._turns.imag)
-        self._phi = np.empty((FORCING_ROWS,) + self.basis.coeffs.shape)
-        self._phi[..., -1] = 1.0
+        self._phi = np.empty((FORCING_ROWS,) + self._coeffs.shape)
+        self._phi[:, -1] = 1.0
         self._z = np.empty((FORCING_ROWS,) + eta.shape, dtype=complex)
 
     def injections(self) -> Iterator[np.ndarray]:
@@ -400,7 +390,8 @@ class ScenarioStack:
                 yield p
 
     def forcing(self, block: int) -> np.ndarray:
-        """phi at the stage rows of forcing block `block`, (rows, B, n, l).
+        """phi at the stage rows of forcing block `block`, feature-first:
+        (rows, m + 1, B, n).
 
         Stage row r sits at time r * dt / sub; the block holds rows
         block * FORCING_ROWS onwards, up to the horizon's row n_steps * sub.
@@ -415,96 +406,100 @@ class ScenarioStack:
         r0 = block * FORCING_ROWS
         rows = min(FORCING_ROWS, self.n_steps * self.sub + 1 - r0)
         phi, z = self._phi[:rows], self._z[:rows]
-        eta = self.basis.eta
-        m = eta.shape[-1]
-        if m:
-            angle = (r0 // self.sub * self.dt / DT_REF) * eta
+        if self._eta.shape[0]:
+            angle = (r0 // self.sub * self.dt / DT_REF) * self._eta
             z[0].real, z[0].imag = np.cos(angle), np.sin(angle)
             np.multiply(self._turns[1:rows], z[0], out=z[1:])
-            for j in range(m):  # one feature at a time: long strided loops
-                phi[..., j] = z[..., j].imag
+            phi[:, :-1] = z.imag
         return phi
 
 
-def _forcing(net: Network, controller: Controller, basis: BasisSignal, t: float):
-    """Smooth injection p_star + phi.a and the controller's feature view at
+def _forcing(net: Network, basis: BasisSignal, t: float):
+    """Smooth injection p_star + phi.a and phi, feature-first (m + 1, n), at
     time t, for one scenario's basis."""
     phi = basis.features(t)
-    return net.p_star + (phi * basis.coeffs).sum(axis=-1), controller.select_features(phi)
+    return net.p_star + (phi * basis.coeffs).sum(axis=-1), np.ascontiguousarray(phi.T)
 
 
 def _forcing_rows(stack: ScenarioStack):
-    """`_forcing` of a stack's battery, with its network and controller, at
-    stage rows 0, 1, ..., n_steps * sub, built one `ScenarioStack.forcing`
-    block at a time.
+    """`_forcing` of a stack's battery, with its network, at stage rows
+    0, 1, ..., n_steps * sub, built one `ScenarioStack.forcing` block at a
+    time: p (B, n) and phi (m + 1, B, n).
 
     The injection p_star + phi.a is summed feature by feature, as
     (phi * coeffs).sum(-1) sums it, into a fresh array per block.  Feature
     rows are views of the stack's block buffer, except a block's last row:
     an RK4 step still uses it after the next block is built, so it is a copy.
     """
-    coeffs, p_star, controller = stack.basis.coeffs, stack.net.p_star, stack.controller
+    coeffs, p_star = stack._coeffs, stack.net.p_star
     for block in itertools.count():
         phi = stack.forcing(block)
-        p = phi[..., 0] * coeffs[..., 0]
-        for j in range(1, coeffs.shape[-1]):
-            p += phi[..., j] * coeffs[..., j]
+        p = phi[:, 0] * coeffs[0]
+        for j in range(1, coeffs.shape[0]):
+            p += phi[:, j] * coeffs[j]
         p += p_star
-        view = controller.select_features(phi)
         last = p.shape[0] - 1
         for j in range(last):
-            yield p[j], None if view is None else view[j]
-        yield p[last], None if view is None else view[last].copy()
+            yield p[j], phi[j]
+        yield p[last], phi[last].copy()
 
 
-def _derivs(net, controller, delta, omega, a_hat, p, view):
-    """Closed-loop vector field, batched over leading axes; d_a is None for
-    controllers without adaptive estimates."""
-    if isinstance(controller, _Bank):
-        u, d_a = controller.feedback(omega, view, a_hat)
-    else:
-        u = controller.control(omega, view, a_hat if controller.n_features else None)
-        d_a = controller.adaptation(omega, view) if controller.n_features else None
-    d_delta = coi_project(omega)
-    d_omega = (p - net.D * omega - u - grad_S(net, delta)) / net.M
-    return d_delta, d_omega, d_a, u
+def _derivs(net, stage: _Stage, p, phi) -> None:
+    """Closed-loop vector field at a stage's packed input state, batched over
+    the trailing axes, into its derivative buffer and control."""
+    for m, l, omega, a_hat, u, d_a in stage.members:
+        if l:
+            view = m.select_features(phi)
+            m.control(omega, view, a_hat, out=u)
+            m.adaptation(omega, view, out=d_a)
+        else:
+            m.control(omega, out=u)
+    omega = stage.omega
+    coi_project(omega, out=stage.d_delta)
+    np.divide(p - net.D * omega - stage.u - grad_S(net, stage.delta), net.M, out=stage.d_omega)
 
 
-def _stage(a, h, d_a):
-    return a if d_a is None else a + h * d_a
+def _stages(controller, x, sub: int) -> tuple[np.ndarray, list[_Stage]]:
+    """Zeroed derivative buffers k for the packed state x, one per Euler step
+    or four plus the stage input k[4] per RK4 step, and each stage's views:
+    the first stage reads x, the later ones k[4]; all share one control."""
+    n = 1 if sub == 1 else 4  # stages per step; RK4 also keeps its stage input in k[4]
+    k, u = np.zeros((n + (n > 1),) + x.shape), np.empty(x.shape[1:])
+    return k, [_Stage(controller, x if s == 0 else k[4], k[s], u) for s in range(n)]
 
 
-def _advance(net, controller, d, w, a, dt, p_extra, k1, mid=None, end=None):
-    """One Euler step, or one RK4 step given the `_forcing` rows at the half
-    step (`mid`) and the step end (`end`); p_extra is held across stages."""
+def _advance(net, stages, x, dt, p_extra, k, mid=None, end=None) -> None:
+    """One Euler step of the packed state x in place, its first stage's
+    derivatives in k[0]; or one RK4 step given the `_forcing` rows at the
+    half step (`mid`) and the step end (`end`), with the `_stages` buffers
+    and views.  p_extra is held across stages."""
     if mid is None:
-        nd, nw, na = d + dt * k1[0], w + dt * k1[1], _stage(a, dt, k1[2])
+        x += np.multiply(dt, k[0], out=k[0])
     else:
-        h = dt / 2
+        h, y = dt / 2, k[4]
         p_mid = mid[0] + p_extra  # k2 and k3 share it
-        k2 = _derivs(
-            net, controller, d + h * k1[0], w + h * k1[1], _stage(a, h, k1[2]), p_mid, mid[1]
-        )
-        k3 = _derivs(
-            net, controller, d + h * k2[0], w + h * k2[1], _stage(a, h, k2[2]), p_mid, mid[1]
-        )
-        k4 = _derivs(
-            net, controller, d + dt * k3[0], w + dt * k3[1], _stage(a, dt, k3[2]),
-            end[0] + p_extra, end[1],
-        )
-        sixth = dt / 6
-        nd = d + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        nw = w + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        na = a if k1[2] is None else a + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return coi_project(nd), nw, na
+        for s, (step_h, p, phi) in enumerate(
+            ((h, p_mid, mid[1]), (h, p_mid, mid[1]), (dt, end[0] + p_extra, end[1]))
+        ):
+            np.add(x, np.multiply(step_h, k[s], out=y), out=y)
+            _derivs(net, stages[s + 1], p, phi)
+        # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
+        np.multiply(2, k[1], out=k[1])
+        np.multiply(2, k[2], out=k[2])
+        acc = np.add(k[0], k[1], out=k[0])
+        acc += k[2]
+        acc += k[3]
+        x += np.multiply(dt / 6, acc, out=acc)
+    coi_project(x[0], out=x[0])
 
 
-def _check_finite(d, w, a, k: int, t: float) -> None:
+def _check_finite(x, k: int, t: float) -> None:
     """Raise IntegrationError naming step k (and, in a batch, the first bad
-    row, searched controller by controller)."""
-    if np.isfinite(d).all() and np.isfinite(w).all() and np.isfinite(a).all():
+    row, searched controller by controller) if the packed state x is not
+    finite."""
+    if np.isfinite(x).all():
         return
-    ok = np.isfinite(d).all(-1) & np.isfinite(w).all(-1) & np.isfinite(a).all((-2, -1))
+    ok = np.isfinite(x).all(axis=(0, -1))
     first = int(np.argmin(ok))
     ctrl, row = divmod(first, ok.shape[-1]) if ok.ndim == 2 else (None, first)
     where = f" in scenario {row}" if ok.size > 1 else ""
@@ -539,16 +534,18 @@ def step(
         p_extra = dist.injection(net.n, t, dt)
         if dist.noise_eps > 0 and rng is not None:
             p_extra = p_extra + rng.uniform(-dist.noise_eps, dist.noise_eps, net.n)
-    d, w, a = state.delta, state.omega, state.a_hat
-    stage_times = (t, t + dt / 2, t + dt) if _substages(method) == 2 else (t,)
-    rows = [_forcing(net, controller, basis, s) for s in stage_times]
+    x = np.concatenate([state.delta[None], state.omega[None], state.a_hat.T])
+    sub = _substages(method)
+    stage_times = (t, t + dt / 2, t + dt) if sub == 2 else (t,)
+    rows = [_forcing(net, basis, s) for s in stage_times]
+    bufs, stages = _stages(controller, x, sub)
     # as in _integrate: overflow is the divergence, reported once below
     with np.errstate(over="ignore", invalid="ignore"):
-        smooth, view = rows[0]
-        k1 = _derivs(net, controller, d, w, a, smooth + p_extra, view)
-        d, w, a = _advance(net, controller, d, w, a, dt, p_extra, k1, *rows[1:])
-    _check_finite(d, w, a, round(t / dt) + 1, t + dt)
-    return SystemState(d, w, a)
+        smooth, phi = rows[0]
+        _derivs(net, stages[0], smooth + p_extra, phi)
+        _advance(net, stages, x, dt, p_extra, bufs, *rows[1:])
+    _check_finite(x, round(t / dt) + 1, t + dt)
+    return SystemState(x[0], x[1], x[2:].T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -613,45 +610,45 @@ def _integrate(stack: ScenarioStack, record, observe=None) -> dict[str, np.ndarr
     """Integrate a stack's battery for `stack.n_steps` steps of `stack.dt`,
     with the stack's network, controller(s) and method.
 
-    Returns time-major histories, (K+1, B, n) and (K+1, B, n, l) for a_hat,
-    for the names in `record`; time-major keeps each step's batch contiguous
-    for the adjoint sweep.  A stack of C controllers runs them all as one
-    batch on a leading controller axis: histories are (K+1, C, B, n) and
-    (K+1, C, B, n, L), and controller c's slice equals its own run bit for
-    bit.  `observe`, when given, is called at every record as
-    observe(k, delta, omega, a_hat, u) with the (B, ...) or (C, B, ...)
-    state and the control anchoring the step that starts there, so a caller
-    can reduce the run as it goes instead of recording it.  Injections and
-    features come from `_forcing_rows`; an RK4 step's end row is the next
-    step's first.  Raises IntegrationError naming scenario, controller and
-    step.
+    Returns time-major histories for the names in `record`: (K+1, B, n), and
+    (K+1, B, n, l) for a_hat, bus-major as in `Trajectory`; time-major keeps
+    each step's batch contiguous for the adjoint sweep.  A stack of C
+    controllers runs them all as one batch on a controller axis: histories
+    are (K+1, C, B, n) and (K+1, C, B, n, L), and controller c's slice
+    equals its own run bit for bit.  `observe`, when given, is called at every record
+    as observe(k, x, u) with the packed state x, (2 + L, [C,] B, n), and the
+    control anchoring the step that starts there, so a caller can reduce the
+    run as it goes instead of recording it; both are buffers, valid during
+    the call.  Injections and features come from `_forcing_rows`; an RK4
+    step's end row is the next step's first.  Raises IntegrationError naming
+    scenario, controller and step.
     """
     net, controller, n_steps, dt = stack.net, stack.controller, stack.n_steps, stack.dt
     rows = _forcing_rows(stack)
     row, mid = next(rows), None
-    hist = {
-        name: np.empty((n_steps + 1,) + (stack.a0 if name == "a_hat" else stack.delta0).shape)
-        for name in record
-    }
-    d, w, a = stack.delta0, stack.omega0, stack.a0
+    x = stack.x0.copy()
+    bufs, stages = _stages(controller, x, stack.sub)
+    u = stages[0].u
+    # p is set per step; a_hat is recorded bus-major, the public layout
+    now = {"delta": x[0], "omega": x[1], "u": u, "p": x[0], "a_hat": np.moveaxis(x[2:], 0, -1)}
+    hist = {name: np.empty((n_steps + 1,) + now[name].shape) for name in record}
     # overflow on the way to a non-finite state is the divergence itself;
     # _check_finite reports it once, as IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
         for k, p_extra in enumerate(stack.injections()):
-            p = row[0] + p_extra
-            k1 = _derivs(net, controller, d, w, a, p, row[1])
-            now = {"delta": d, "omega": w, "u": k1[3], "p": p, "a_hat": a}
+            now["p"] = p = row[0] + p_extra
+            _derivs(net, stages[0], p, row[1])
             for name, arr in hist.items():
                 arr[k] = now[name]
             if observe is not None:
-                observe(k, d, w, a, k1[3])
+                observe(k, x, u)
             if k == n_steps:
                 break
             if stack.method == "rk4":
                 mid = next(rows)
             row = next(rows)
-            d, w, a = _advance(net, controller, d, w, a, dt, p_extra, k1, mid, row)
-            _check_finite(d, w, a, k + 1, k * dt + dt)
+            _advance(net, stages, x, dt, p_extra, bufs, mid, row)
+            _check_finite(x, k + 1, k * dt + dt)
     return hist
 
 

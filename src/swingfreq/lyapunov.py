@@ -171,17 +171,30 @@ class MarginFit:
     tol_coeff: float
 
 
+def _equilibrium_edges(net: Network, delta_star: np.ndarray):
+    """The equilibrium's edge angles d0 and their cos and sin, for `_wp`."""
+    d0 = net.edge_differences(delta_star)
+    return d0, np.cos(d0), np.sin(d0)
+
+
+def _wp(net: Network, d: np.ndarray, eq) -> np.ndarray:
+    """W_p from edge angles d and the `_equilibrium_edges` eq; batched."""
+    d0, cos0, sin0 = eq
+    return (net.b_edge * (cos0 - np.cos(d) + sin0 * (d0 - d))).sum(axis=-1)
+
+
 def eval_Wp(net: Network, delta: np.ndarray, delta_star: np.ndarray) -> np.ndarray:
     """Bregman gap of S at delta_star, in the per-edge cosine form; batched."""
-    d = net.edge_differences(delta)
-    d0 = net.edge_differences(delta_star)
-    return (net.b_edge * (np.cos(d0) - np.cos(d) + np.sin(d0) * (d0 - d))).sum(axis=-1)
+    return _wp(net, net.edge_differences(delta), _equilibrium_edges(net, delta_star))
 
 
-def _energy(net, controller, delta_star, delta, omega, a_hat, coeffs):
-    """Kinetic, potential and estimation (0.0 without `coeffs`) parts of V; batched."""
-    kinetic = 0.5 * (net.M * omega**2).sum(axis=-1)
-    return kinetic, eval_Wp(net, delta, delta_star), _estimation_error(controller, a_hat, coeffs)
+def _kinetic(net, omega):
+    return 0.5 * (net.M * omega**2).sum(axis=-1)
+
+
+def _coeff_view(controller, coeffs):
+    """The controller's view of bus-major coefficients (..., n, m + 1), bus-major."""
+    return np.moveaxis(controller.select_features(np.moveaxis(coeffs, -1, 0)), 0, -1)
 
 
 def _estimation_error(controller, a_hat, coeffs):
@@ -215,10 +228,10 @@ def eval_V(
     if not isinstance(controller, AdaptiveController):
         coeffs_true = None
     elif coeffs_true is None:
-        coeffs_true = controller.select_features(basis.coeffs)
-    kinetic, wp, est = map(float, _energy(
-        net, controller, delta_star, state.delta, state.omega, state.a_hat, coeffs_true
-    ))
+        coeffs_true = _coeff_view(controller, basis.coeffs)
+    kinetic = float(_kinetic(net, state.omega))
+    wp = float(eval_Wp(net, state.delta, delta_star))
+    est = float(_estimation_error(controller, state.a_hat, coeffs_true))
     return LyapunovEval(V=kinetic + wp + est, Wp=wp, kinetic=kinetic, est_err=est)
 
 
@@ -306,18 +319,21 @@ class EnergySeries:
     edge: np.ndarray
 
 
-def _terms(net, controller, delta_star, delta, omega, a_hat, target, target_prev):
+def _terms(net, controller, eq, delta, omega, a_hat, target, target_prev):
     """The `EnergySeries` terms, in field order, at a batch of states (any leading axes).
 
+    `eq` holds the `_equilibrium_edges`; the state's edge angles are taken
+    once, for W_p and the spread.  a_hat is bus-major, (..., n, l).
     `target` is the estimation target (None without estimates), and
     `target_prev` the one a step earlier (None: the same).
     """
-    kinetic, wp, est = _energy(net, controller, delta_star, delta, omega, a_hat, target)
+    d = net.edge_differences(delta)
+    est = _estimation_error(controller, a_hat, target)
     est_prev = est if target_prev is None else _estimation_error(controller, a_hat, target_prev)
-    spread = np.abs(net.edge_differences(delta))
+    spread = np.abs(d)
     return (
-        kinetic + wp, est, est_prev, (net.D * omega**2).sum(axis=-1),
-        spread.max(axis=-1), spread.argmax(axis=-1),
+        _kinetic(net, omega) + _wp(net, d, eq), est, est_prev,
+        (net.D * omega**2).sum(axis=-1), spread.max(axis=-1), spread.argmax(axis=-1),
     )
 
 
@@ -328,7 +344,7 @@ def _targets(controller, coeffs, steps: dict[int, np.ndarray]) -> dict[int, np.n
     into the constant feature.  None for controllers without estimates."""
     if not isinstance(controller, AdaptiveController):
         return None
-    coeffs = controller.select_features(coeffs)
+    coeffs = _coeff_view(controller, coeffs)
     out = {}
     for k, injection in steps.items():
         fold = np.array(coeffs)
@@ -348,11 +364,12 @@ def stream_energy(
 ) -> EnergySeries:
     """Integrate a battery as one RK4 batch, keeping only its energy terms.
 
-    The integrator hands every record's (B, n) state to an observer that
-    fills the (K+1, B) series, so no horizon-long state history is kept.  A
+    The integrator hands every record's packed (2 + l, B, n) state to an
+    observer that fills the (K+1, B) series, so no horizon-long state history
+    is kept.  The observer takes the estimate rows bus-major, (B, n, l), so a
     row's terms match those `check_decrease` takes from the `rollout_batch`
-    trajectory of the same battery.  IntegrationError carries the first
-    diverging row.
+    trajectory of the same battery bit for bit.  IntegrationError carries
+    the first diverging row.
     """
     scenarios = tuple(scenarios)
     stack = ScenarioStack(net, controller, scenarios, horizon, dt, "rk4", delta_star)
@@ -361,15 +378,17 @@ def stream_energy(
     columns = [np.empty(shape) for _ in range(5)] + [np.empty(shape, dtype=int)]
     targets = _targets(controller, stack.basis.coeffs, stack.steps)
     target = None
+    eq = _equilibrium_edges(net, delta_star)
 
-    def observe(k, delta, omega, a_hat, u):
+    def observe(k, x, u):
         nonlocal target
         prev = None
         if targets is not None and k in targets:
             prev, target = target, targets[k]
-        terms = _terms(net, controller, delta_star, delta, omega, a_hat, target, prev)
-        for col, x in zip(columns, terms):
-            col[k] = x
+        a_hat = np.ascontiguousarray(np.moveaxis(x[2:], 0, -1))
+        terms = _terms(net, controller, eq, x[0], x[1], a_hat, target, prev)
+        for col, y in zip(columns, terms):
+            col[k] = y
 
     _integrate(stack, (), observe)
     return EnergySeries(scenarios, np.arange(n_steps + 1) * dt, dt, *columns)
@@ -387,7 +406,8 @@ def _trajectory_series(traj, net, scenario, controller, delta_star) -> EnergySer
         at = np.searchsorted(keys, np.arange(n_steps + 1), side="right") - 1
         target, prev = table[at], table[np.concatenate([at[:1], at[:-1]])]
     terms = _terms(
-        net, controller, delta_star, traj.delta, traj.omega, traj.a_hat, target, prev
+        net, controller, _equilibrium_edges(net, delta_star), traj.delta, traj.omega,
+        traj.a_hat, target, prev,
     )
     return EnergySeries(
         (scenario,), traj.t, traj.dt,

@@ -55,11 +55,12 @@ class AssumptionViolation(RuntimeError):
     """A state left the certified operating region |delta_i - delta_j| < pi/2."""
 
 
-def coi_project(x: np.ndarray) -> np.ndarray:
-    """Remove the rotational gauge freedom: subtract the mean; batched."""
+def coi_project(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Remove the rotational gauge freedom: subtract the mean; batched.
+    `out` may be x itself."""
     x = np.asarray(x, dtype=float)
     # np.add.reduce(x, -1)/n == x.mean(-1) bit for bit, minus the wrapper cost
-    return x - np.add.reduce(x, -1, keepdims=True) / x.shape[-1]
+    return np.subtract(x, np.add.reduce(x, -1, keepdims=True) / x.shape[-1], out=out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -210,12 +210,12 @@ def score_battery(
     k_peak = k0 + _cost_end(cost, tail_t, dt)
     restore = np.zeros(t.shape, dtype=bool)
     restore[k0:] = _window_mask(tail_t, RESTORE_WINDOW)
-    peak_w, peak_u, action, sum_w, peak_T = (np.zeros(stack.delta0.shape) for _ in range(5))
+    peak_w, peak_u, action, sum_w, peak_T = (np.zeros(stack.x0.shape[1:]) for _ in range(5))
 
-    def observe(k, delta, omega, a_hat, u):
+    def observe(k, x, u):
         if k < k0:
             return
-        abs_w = np.abs(omega)
+        abs_w = np.abs(x[1])
         np.maximum(peak_w, abs_w, out=peak_w)
         np.maximum(peak_u, np.abs(u), out=peak_u)
         if k < k_peak:
@@ -293,18 +293,26 @@ def _add_seed(lam_w: np.ndarray, seed_w: dict, k: int) -> None:
 
 def _backward(stack: ScenarioStack, delta_h, omega_h, u_h, seed_w, cost):
     """Adjoint sweep of the Euler recurrence of a stack's run; returns the
-    raw-parameter gradient of its controller."""
+    raw-parameter gradient of its controller.
+
+    The adjoint of the estimates, lam_a, is feature-first, (l, B, n), like
+    the estimate rows of the packed state.  Per step only bar_omega, its
+    pull-back onto the frequencies, feeds the recurrence; dt * lam_a is kept
+    per forcing block, (rows, l, B, n), and the rate gradient
+    sum_k sum_b dt lam_a omega phi is reduced once per block, as are the
+    base controller's VJP and the action seed.
+    """
     net, controller = stack.net, stack.controller
     K, n, B = stack.n_steps, stack.n, stack.B
     adaptive = isinstance(controller, AdaptiveController)
     grad = np.zeros(controller.raw_parameters().size)
-    # the adaptation VJP feeds the rate block only; accumulate it in place
-    grad_rate = grad[controller.rate_block] if adaptive else None
     lam_d = np.zeros((B, n))
     lam_w = np.zeros((B, n))
     _add_seed(lam_w, seed_w, K)
-    lam_a = np.zeros((B, n, controller.n_features))
-    bar_u_block = np.empty((min(FORCING_ROWS, K), B, n))
+    lam_a = np.zeros((controller.n_features, B, n))
+    rows = min(FORCING_ROWS, K)
+    bar_u_block = np.empty((rows, B, n))
+    bar_a_block = np.empty((rows,) + lam_a.shape)
     dt = stack.dt
     # an Euler forcing block b holds steps [b FORCING_ROWS, (b + 1) FORCING_ROWS)
     for block in range((K - 1) // FORCING_ROWS, -1, -1):
@@ -312,28 +320,30 @@ def _backward(stack: ScenarioStack, delta_h, omega_h, u_h, seed_w, cost):
         k1 = min(k0 + FORCING_ROWS, K)
         du_dw = controller.control_wrt_omega(omega_h[k0:k1])
         seed_u = 2.0 * cost.gamma * cost.c * u_h[k0:k1] * dt / B
-        if adaptive:
-            view = controller.select_features(stack.forcing(block))
+        if adaptive:  # (l, rows, B, n): feature-first over the block's steps
+            view = controller.select_features(stack.forcing(block).swapaxes(0, 1))
         for k in range(k1 - 1, k0 - 1, -1):
-            delta, omega = delta_h[k], omega_h[k]
             # the zero-mean projection is symmetric and idempotent, so both the
             # delta->delta and omega->delta branches pull back through it once
             lam_dp = coi_project(lam_d)
             g_m = lam_w / net.M
             bar_u = np.add(-dt * g_m, seed_u[k - k0], out=bar_u_block[k - k0])
-            new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta, g_m)
+            new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta_h[k], g_m)
             _add_seed(lam_w, seed_w, k)  # after g_m, which takes lam_w without it
             new_lam_w = lam_w + dt * lam_dp - dt * net.D * g_m + bar_u * du_dw[k - k0]
             if adaptive:
-                phi = view[k - k0]
-                g_a, bar_w = controller.adaptation_vjp(omega, phi, dt * lam_a)
-                grad_rate += g_a
-                new_lam_w += bar_w
+                phi = view[:, k - k0]
+                bar_a = np.multiply(dt, lam_a, out=bar_a_block[k - k0])
+                new_lam_w += controller.adaptation_vjp_omega(phi, bar_a)
                 lam_a = lam_a + controller.control_vjp_ahat(phi, bar_u)
             lam_d, lam_w = new_lam_d, new_lam_w
             if not np.isfinite(lam_w).all():
                 raise IntegrationError(f"non-finite adjoint at step {k}")
         grad += controller.control_vjp_raw(omega_h[k0:k1], bar_u_block[: k1 - k0])
+        if adaptive:
+            grad[controller.rate_block] += controller.adaptation_vjp(
+                omega_h[k0:k1], view[:, : k1 - k0], bar_a_block[: k1 - k0].swapaxes(0, 1)
+            )
     return grad
 
 

@@ -459,6 +459,23 @@ class TestEvaluate:
                 == (tmp_path / "pooled" / name).read_bytes()
             )
 
+    def test_huge_finite_scores_exit_1_and_write_nothing(self, tmp_path, capsys):
+        # states reach about 1e212 without overflowing, so the scores stay
+        # finite but their standard errors do not; strict JSON cannot hold them
+        path = tmp_path / "lin30.json"
+        save_controller(LinearController(np.full(2, -30.0)), path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["evaluate", "--case", "two_bus", "--controller", str(path),
+                       "--controller", "droop", "--scenarios", "2", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: controller 'lin30' has a non-finite ")
+        assert "restoration_se: inf" in err
+        assert not caught and "Warning" not in err
+        assert not (out / "comparison.json").exists() and not (out / "comparison.csv").exists()
+
     @pytest.mark.parametrize(
         "flags", [[], ["--dt", "0.02", "--horizon", "20", "--euler", "--noise", "0.05"]],
         ids=["defaults", "off-grid"],

@@ -223,16 +223,16 @@ class TestAdaptive:
     def test_zero_estimates_reduce_to_base(self):
         ctrl = AdaptiveController.initial(self.base(), 3)
         w = np.array([0.3])
-        phi = np.array([[0.2, -0.1, 1.0]])
-        got = ctrl.control(w, phi, np.zeros((1, 3)))
+        phi = np.array([[0.2], [-0.1], [1.0]])  # feature-first, (l, n)
+        got = ctrl.control(w, phi, np.zeros((3, 1)))
         np.testing.assert_allclose(got, self.base().control(w))
 
     def test_feature_dot_product(self):
         ctrl = AdaptiveController.initial(self.base(), 3)
         u = ctrl.control(
             np.array([0.0]),
-            np.array([[0.0, 0.0, 1.0]]),
-            np.array([[0.1, 0.2, 0.05]]),
+            np.array([[0.0, 0.0, 1.0]]).T,
+            np.array([[0.1, 0.2, 0.05]]).T,
         )
         assert u[0] == pytest.approx(0.05)
 
@@ -240,8 +240,8 @@ class TestAdaptive:
         ctrl = AdaptiveController.initial(self.base(), 3)
         rng = np.random.default_rng(1)
         w = rng.normal(size=1)
-        phi = rng.normal(size=(1, 3))
-        a1, a2 = rng.normal(size=(2, 1, 3))
+        phi = rng.normal(size=(1, 3)).T
+        a1, a2 = rng.normal(size=(2, 1, 3)).transpose(0, 2, 1)
         lhs = ctrl.control(w, phi, a1 + 2.0 * a2)
         rhs = ctrl.control(w, phi, a1) + 2.0 * (
             ctrl.control(w, phi, a2) - ctrl.base.control(w)
@@ -250,13 +250,13 @@ class TestAdaptive:
 
     def test_adaptation_zero_at_zero_deviation(self):
         ctrl = AdaptiveController.initial(self.base(), 3)
-        got = ctrl.adaptation(np.zeros(1), np.ones((1, 3)))
-        np.testing.assert_array_equal(got, np.zeros((1, 3)))
+        got = ctrl.adaptation(np.zeros(1), np.ones((3, 1)))
+        np.testing.assert_array_equal(got, np.zeros((3, 1)))
 
     def test_adaptation_diagonal_product(self):
         ctrl = AdaptiveController.initial(self.base(), 3, rate=1.0)
-        got = ctrl.adaptation(np.array([0.2]), np.array([[0.0, 0.0, 1.0]]))
-        np.testing.assert_allclose(got, [[0.0, 0.0, 0.2]], atol=1e-12)
+        got = ctrl.adaptation(np.array([0.2]), np.array([[0.0, 0.0, 1.0]]).T)
+        np.testing.assert_allclose(got, [[0.0], [0.0], [0.2]], atol=1e-12)
 
     def test_euler_step_of_adaptation(self):
         # ahat(0)=0, constant omega=0.2, unit rate, phi=(1): one Euler step
@@ -272,20 +272,20 @@ class TestAdaptive:
 
     def test_select_features_constant_mode(self):
         ctrl = AdaptiveController.initial(self.base(), 1, feature_mode="constant")
-        phi = np.array([[0.3, 0.7, 1.0]])
+        phi = np.array([[0.3, 0.7, 1.0]]).T
         np.testing.assert_array_equal(ctrl.select_features(phi), [[1.0]])
 
     def test_select_features_checks_width(self):
         ctrl = AdaptiveController.initial(self.base(), 3)
         with pytest.raises(ControllerError, match="features"):
-            ctrl.select_features(np.ones((1, 2)))
+            ctrl.select_features(np.ones((2, 1)))
 
     def test_control_requires_estimates(self):
         ctrl = AdaptiveController.initial(self.base(), 3)
         with pytest.raises(ControllerError):
             ctrl.control(np.zeros(1))
         with pytest.raises(ControllerError, match="mismatch"):
-            ctrl.control(np.zeros(1), np.ones((1, 3)), np.ones((1, 2)))
+            ctrl.control(np.zeros(1), np.ones((3, 1)), np.ones((2, 1)))
 
     def test_base_must_be_static(self):
         inner = AdaptiveController.initial(self.base(), 3)

@@ -13,6 +13,7 @@ from swingfreq.controllers import (
 from swingfreq.dynamics import (
     DT_REF,
     FORCING_ROWS,
+    RECORDS,
     SUBSTAGES,
     BasisSignal,
     Disturbance,
@@ -28,7 +29,7 @@ from swingfreq.dynamics import (
     rollout_batch,
     step,
 )
-from swingfreq.netmodel import Network, grad_S
+from swingfreq.netmodel import Network, coi_project, grad_S
 
 
 def one_bus_net():
@@ -262,10 +263,10 @@ class TestRollout:
             delta, omega, a_hat = y[:2], y[2:4], y[4:].reshape(2, 3)
             phi = basis.features(t)
             p = two_bus.p_star + (phi * basis.coeffs).sum(axis=-1)
-            u = ctrl.control(omega, phi, a_hat)
+            u = ctrl.control(omega, phi.T, a_hat.T)  # the hooks are feature-first
             d_omega = (p - two_bus.D * omega - u - grad_S(two_bus, delta)) / two_bus.M
             return np.concatenate([
-                omega - omega.mean(), d_omega, ctrl.adaptation(omega, phi).ravel(),
+                omega - omega.mean(), d_omega, ctrl.adaptation(omega, phi.T).T.ravel(),
             ])
 
         y0 = np.concatenate([two_bus_eq, np.zeros(2), np.zeros(6)])
@@ -489,6 +490,120 @@ class TestStackRefusals:
             Disturbance(noise_eps=-1)
 
 
+def reference_integrate(stack):
+    """The integrator on separate delta, omega and estimate arrays, with every
+    stage sum, the RK4 combination and the COI projection in the order of
+    the unpacked core: the oracle of the packed state's bit-identity.
+
+    Returns the records of `_integrate` as lists: delta, omega, u, p and the
+    feature-first estimates a_hat, (L, [C,] B, n).
+    """
+    net, ctrl, dt = stack.net, stack.controller, stack.dt
+    members = ctrl if stack.C is not None else None
+
+    def derivs(d, w, a, p, phi):
+        if members is None:
+            l = ctrl.n_features
+            view = ctrl.select_features(phi) if l else None
+            u = ctrl.control(w, view, a if l else None)
+            d_a = ctrl.adaptation(w, view) if l else None
+        else:
+            u = np.empty(w.shape)
+            d_a = np.zeros(a.shape) if a.shape[0] else None
+            for c, m in enumerate(members):
+                l = m.n_features
+                if l:
+                    view = m.select_features(phi)
+                    u[c] = m.control(w[c], view, a[:l, c])
+                    d_a[:l, c] = m.adaptation(w[c], view)
+                else:
+                    u[c] = m.control(w[c])
+        d_omega = (p - net.D * w - u - grad_S(net, d)) / net.M
+        return coi_project(w), d_omega, d_a, u
+
+    def stage(a, h, d_a):
+        return a if d_a is None else a + h * d_a
+
+    out = {name: [] for name in RECORDS}
+    rows = _forcing_rows(stack)
+    row = next(rows)
+    d, w, a = (np.array(x) for x in (stack.x0[0], stack.x0[1], stack.x0[2:]))
+    for k, p_extra in enumerate(stack.injections()):
+        p = row[0] + p_extra
+        k1 = derivs(d, w, a, p, row[1])
+        for name, x in zip(RECORDS, (d, w, k1[3], np.broadcast_to(p, d.shape), a)):
+            out[name].append(x.copy())
+        if k == stack.n_steps:
+            return out
+        if stack.method == "euler":
+            row = next(rows)
+            nd, nw, na = d + dt * k1[0], w + dt * k1[1], stage(a, dt, k1[2])
+        else:
+            mid, row = next(rows), next(rows)
+            h = dt / 2
+            p_mid = mid[0] + p_extra
+            k2 = derivs(d + h * k1[0], w + h * k1[1], stage(a, h, k1[2]), p_mid, mid[1])
+            k3 = derivs(d + h * k2[0], w + h * k2[1], stage(a, h, k2[2]), p_mid, mid[1])
+            k4 = derivs(d + dt * k3[0], w + dt * k3[1], stage(a, dt, k3[2]),
+                        row[0] + p_extra, row[1])
+            sixth = dt / 6
+            nd = d + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            nw = w + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            na = a if k1[2] is None else a + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        d, w, a = coi_project(nd), nw, na
+
+
+class TestPackedState:
+    """The packed state (2 + L, [C,] B, n) gives the unpacked core's bits."""
+
+    @staticmethod
+    def controllers(n):
+        pwl = MonotonePWLController.initial(n).with_raw_parameters(
+            np.random.default_rng(0).normal(size=n * 20)
+        )
+        return {
+            "droop": DroopController.initial(n),
+            "pwl": pwl,
+            "integral": AdaptiveController.initial(pwl, 1, feature_mode="constant"),
+            "adaptive": AdaptiveController.initial(pwl, 3),
+        }
+
+    @staticmethod
+    def check(stack):
+        want = reference_integrate(stack)
+        x0 = stack.x0.copy()
+        hist = _integrate(stack, RECORDS)
+        for name in RECORDS:
+            ref = np.stack(want[name])
+            if name == "a_hat":  # recorded bus-major, (K+1, [C,] B, n, L)
+                ref = np.moveaxis(ref, 1, -1)
+            assert np.array_equal(hist[name], ref), name
+        seen = []
+        _integrate(stack, (), lambda k, x, u: seen.append((k, x.copy(), u.copy())))
+        assert [k for k, _, _ in seen] == list(range(stack.n_steps + 1))
+        for k, x, u in seen:
+            assert np.array_equal(x[0], want["delta"][k])
+            assert np.array_equal(x[1], want["omega"][k])
+            assert np.array_equal(x[2:], want["a_hat"][k])
+            assert np.array_equal(u, want["u"][k])
+        assert np.array_equal(stack.x0, x0)  # the stack's initial state is not advanced
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("kind", ["droop", "pwl", "integral", "adaptive"])
+    def test_one_controller(self, ne39, ne39_eq, kind, method):
+        ctrl = self.controllers(ne39.n)[kind]
+        scens = TestRolloutBatch.battery(ne39, ne39_eq, ctrl.n_features)
+        self.check(ScenarioStack(ne39, ctrl, scens, 1.0, 0.01, method, ne39_eq))
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_mixed_bank(self, ne39, ne39_eq, method):
+        ctrls = list(self.controllers(ne39.n).values())
+        scens = TestRolloutBatch.battery(ne39, ne39_eq, 0)
+        stack = ScenarioStack(ne39, ctrls, scens, 1.0, 0.01, method, ne39_eq)
+        assert stack.x0.shape == (5, 4, 3, ne39.n)
+        self.check(stack)
+
+
 class TestForcingStream:
     @staticmethod
     def stack(net, delta_star, dt, n_steps, bases, method, ctrl=None):
@@ -514,7 +629,8 @@ class TestForcingStream:
         )
         assert got.shape[0] == n_rows
         want = stack.basis.features(np.arange(n_rows) * (dt / sub))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        # blocks are feature-first, (rows, m + 1, B, n)
+        np.testing.assert_allclose(got, np.moveaxis(want, -1, 1), rtol=0, atol=1e-14)
 
     def test_constant_basis_rows(self, ne39, ne39_eq):
         bases = [make_constant_basis(ne39.n, np.full(ne39.n, 0.1 * (b + 1))) for b in range(2)]
@@ -554,13 +670,16 @@ class TestForcingStream:
         t = np.arange(n_steps * sub + 1) * (0.01 / sub)
         assert t.size > 2 * FORCING_ROWS and t.size % FORCING_ROWS
         p_want = ne39.p_star + stack.basis.injection_variation(t)
-        view_want = ctrl.select_features(stack.basis.features(t))
+        # rows hold phi feature-first, (m + 1, B, n); the controller takes its view
+        phi_want = np.moveaxis(stack.basis.features(t), -1, 1)
         held = []
         for r, row in zip(range(t.size), _forcing_rows(stack)):
             held = held[-1:] + [(r, row)]
-            for j, (p, view) in held:
+            for j, (p, phi) in held:
                 np.testing.assert_allclose(p, p_want[j], rtol=0, atol=1e-14)
-                np.testing.assert_allclose(view, view_want[j], rtol=0, atol=1e-14)
+                np.testing.assert_allclose(ctrl.select_features(phi),
+                                           ctrl.select_features(phi_want[j]),
+                                           rtol=0, atol=1e-14)
 
 
 class TestTrajectoryExport:

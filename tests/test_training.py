@@ -195,7 +195,7 @@ def per_step_grad(net, controller, scenarios, cost, dt):
     grad = np.zeros(controller.raw_parameters().size)
     lam_d = np.zeros((stack.B, net.n))
     lam_w = seed_w[-1].copy()
-    lam_a = np.zeros((stack.B, net.n, controller.n_features))
+    lam_a = np.zeros((controller.n_features, stack.B, net.n))  # feature-first
     for k in range(stack.n_steps - 1, -1, -1):
         omega = omega_h[k]
         lam_dp = coi_project(lam_d)
@@ -206,10 +206,9 @@ def per_step_grad(net, controller, scenarios, cost, dt):
                      + bar_u * controller.control_wrt_omega(omega))
         grad += controller.control_vjp_raw(omega, bar_u)
         if adaptive:
-            view = controller.select_features(stack.basis.features(k * dt))
-            g_a, bar_w = controller.adaptation_vjp(omega, view, dt * lam_a)
-            grad[controller.rate_block] += g_a
-            new_lam_w += bar_w
+            view = controller.select_features(np.moveaxis(stack.basis.features(k * dt), -1, 0))
+            grad[controller.rate_block] += controller.adaptation_vjp(omega, view, dt * lam_a)
+            new_lam_w += controller.adaptation_vjp_omega(view, dt * lam_a)
             lam_a = lam_a + controller.control_vjp_ahat(view, bar_u)
         lam_d, lam_w = new_lam_d, new_lam_w
     return grad
