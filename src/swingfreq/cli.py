@@ -344,13 +344,19 @@ def cmd_evaluate(args) -> int:
             f"{EVAL_ONSET:g} s onset; pass --horizon >= "
             f"{EVAL_ONSET + RESTORE_WINDOW[1]:g}"
         )
-    entries = [_from_file(p, net) for p in args.checkpoint or []]
-    entries += [_controller_spec(spec, net) for spec in args.controller or []]
+    entries = [(p, *_from_file(p, net)) for p in args.checkpoint or []]
+    entries += [(spec, *_controller_spec(spec, net)) for spec in args.controller or []]
     if not entries:
         raise ValueError("nothing to evaluate: pass --checkpoint and/or --controller")
+    # a label shared by different inputs (files with one stem) becomes each
+    # input as given; the same input given twice is numbered
+    given: dict[str, set[str]] = {}
+    for arg, label, _ in entries:
+        given.setdefault(label, set()).add(arg)
     seen: dict[str, int] = {}
     labeled = []
-    for label, ctrl in entries:
+    for arg, label, ctrl in entries:
+        label = arg if len(given[label]) > 1 else label
         seen[label] = seen.get(label, 0) + 1
         labeled.append((f"{label}#{seen[label]}" if seen[label] > 1 else label, ctrl))
 

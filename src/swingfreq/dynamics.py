@@ -548,6 +548,9 @@ def step(
     return SystemState(x[0], x[1], x[2:].T)
 
 
+_CSV_BLOCK = 256  # records formatted per write in Trajectory.write_csv
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-indexed record of a closed-loop run.
@@ -588,16 +591,26 @@ class Trajectory:
         return Trajectory(self.t[k0:] - self.t[k0], *cut, self.dt, self.meta)
 
     def write_csv(self, path: str | Path) -> None:
-        """Header: t, then delta_<bus>, omega_<bus>, u_<bus>, p_<bus> blocks."""
+        """Header: t, then delta_<bus>, omega_<bus>, u_<bus>, p_<bus> blocks.
+
+        Streams the rows block by block, at most `_CSV_BLOCK` records at a
+        time, so memory is bounded by one block and not by the horizon.
+        Raises ValueError naming a missing history before creating the file.
+        """
+        for name in ("delta", "u", "p"):
+            if getattr(self, name) is None:
+                raise ValueError(f"trajectory has no {name} history; record it to write a CSV")
         ids = self.meta.get("bus_ids", list(range(1, self.n + 1)))
         header = ["t"]
         for block in ("delta", "omega", "u", "p"):
             header += [f"{block}_{b}" for b in ids]
-        table = np.column_stack([self.t, self.delta, self.omega, self.u, self.p])
-        lines = [",".join(header)]
-        for row in table:
-            lines.append(",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        columns = (self.t, self.delta, self.omega, self.u, self.p)
+        with open(path, "w") as f:
+            f.write(",".join(header) + "\n")
+            for k in range(0, self.n_records, _CSV_BLOCK):
+                block = np.column_stack([c[k:k + _CSV_BLOCK] for c in columns])
+                # repr of a tolist() float is repr(float(v)) of the numpy value
+                f.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
     def write_meta(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.meta, indent=1, sort_keys=True) + "\n")

@@ -235,6 +235,9 @@ def eval_V(
     return LyapunovEval(V=kinetic + wp + est, Wp=wp, kinetic=kinetic, est_err=est)
 
 
+_GAMMA_CHUNK = 16  # Hessian samples per eigvalsh call in compute_gammas
+
+
 def compute_gammas(
     net: Network,
     controller: Controller | None = None,
@@ -269,11 +272,13 @@ def compute_gammas(
     gen = np.random.default_rng(rng)
     half = bound / 2
     b1s, b2s = np.inf, -np.inf
-    for _ in range(int(samples)):
-        delta = gen.uniform(-half, half, net.n)
+    # a few samples per eigvalsh call: the same generator stream and matrices
+    # as one at a time, without holding all of them
+    for k in range(0, int(samples), _GAMMA_CHUNK):
+        delta = gen.uniform(-half, half, (min(_GAMMA_CHUNK, int(samples) - k), net.n))
         ev = np.linalg.eigvalsh(hessian_S(net, coi_project(delta)))
-        b1s = min(b1s, 0.5 * (ev[1] if net.n > 1 else 0.0))
-        b2s = max(b2s, 0.5 * ev[-1])
+        b1s = min(b1s, 0.5 * (ev[:, 1].min() if net.n > 1 else 0.0))
+        b2s = max(b2s, 0.5 * ev[:, -1].max())
 
     terms_lo = [net.M.min(), 2 * beta1]
     terms_hi = [net.M.max(), 2 * beta2]

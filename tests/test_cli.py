@@ -446,6 +446,34 @@ class TestEvaluate:
         lines = (tmp_path / "comparison.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + checkpoint row + fresh droop row
 
+    @staticmethod
+    def labels(out):
+        rows = (out / "comparison.csv").read_text().strip().splitlines()[1:]
+        return [row.split(",")[0] for row in rows], list(
+            json.loads((out / "comparison.json").read_text())["summary"])
+
+    def test_files_sharing_a_stem_are_labelled_by_path(self, tmp_path):
+        a, b = tmp_path / "a" / "checkpoint.json", tmp_path / "b" / "checkpoint.json"
+        for path in (a, b):
+            path.parent.mkdir()
+            save_controller(DroopController.initial(2), path)
+        rc = main(["evaluate", "--case", "two_bus", "--checkpoint", str(a),
+                   "--checkpoint", str(b), "--controller", "droop",
+                   "--scenarios", "2", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        expected = [str(a), str(b), "droop"]
+        assert self.labels(tmp_path / "out") == (expected, expected)
+
+    def test_the_same_file_twice_is_numbered(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_controller(DroopController.initial(2), path)
+        rc = main(["evaluate", "--case", "two_bus", "--checkpoint", str(path),
+                   "--checkpoint", str(path), "--controller", "droop",
+                   "--controller", "droop", "--scenarios", "2", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        expected = ["checkpoint", "checkpoint#2", "droop", "droop#2"]
+        assert self.labels(tmp_path / "out") == (expected, expected)
+
     def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
         args = ["evaluate", "--case", "two_bus", "--controller", "droop",
                 "--controller", "pwl", "--controller", "adaptive", "--scenarios", "4"]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from swingfreq.dynamics import (
     Scenario,
     ScenarioStack,
     SystemState,
+    Trajectory,
+    _CSV_BLOCK,
     _forcing_rows,
     _integrate,
     make_constant_basis,
@@ -682,11 +685,61 @@ class TestForcingStream:
                                            rtol=0, atol=1e-14)
 
 
+def oracle_csv(traj):
+    """The whole-table writer the streamed `write_csv` replaced."""
+    ids = traj.meta.get("bus_ids", list(range(1, traj.n + 1)))
+    header = ["t"] + [f"{block}_{b}" for block in ("delta", "omega", "u", "p") for b in ids]
+    table = np.column_stack([traj.t, traj.delta, traj.omega, traj.u, traj.p])
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in table]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestTrajectoryExport:
-    def make(self, two_bus):
+    def make(self, two_bus, horizon=1.0):
         basis = make_sinusoid_basis(2, 11)
         dist = Disturbance(steps=((1, 0.2, 0.5),), seed=7)
-        return rollout(two_bus, DroopController.initial(2), basis, dist, horizon=1.0, dt=0.01)
+        return rollout(two_bus, DroopController.initial(2), basis, dist, horizon=horizon, dt=0.01)
+
+    @pytest.mark.parametrize("horizon", [1.0, _CSV_BLOCK * 0.01], ids=["101", "block+1"])
+    def test_csv_bytes_match_the_whole_table_writer(self, two_bus, tmp_path, horizon):
+        traj = self.make(two_bus, horizon)
+        assert traj.n_records in (101, _CSV_BLOCK + 1)
+        traj.write_csv(tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == oracle_csv(traj)
+
+    def test_csv_bytes_of_extreme_floats(self, tmp_path):
+        values = np.array([[-0.0, 1e-300], [1e300, 5e-324], [3.0, -2.0], [0.1, -1e16]])
+        traj = Trajectory(np.array([0.0, 0.5, 1.0, 2.0]), values, values[::-1],
+                          -values, values * 0.5, None, 0.5, {"bus_ids": [4, 7]})
+        traj.write_csv(tmp_path / "traj.csv")
+        text = (tmp_path / "traj.csv").read_bytes()
+        assert text == oracle_csv(traj)
+        assert b"\n0.0,-0.0,1e-300," in text and b",1e+300,5e-324," in text
+
+    def test_csv_memory_does_not_grow_with_the_horizon(self, two_bus, tmp_path):
+        peaks = []
+        for horizon in (10.0, 100.0):
+            traj = self.make(two_bus, horizon)
+            tracemalloc.start()
+            try:
+                traj.write_csv(tmp_path / "traj.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert traj.n_records == 10_001
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("record", [("omega",), ("omega", "delta", "u"),
+                                        ("omega", "delta", "p")])
+    def test_csv_refuses_a_missing_history_before_opening(self, two_bus, tmp_path, record):
+        scen = Scenario(Disturbance(steps=((1, 0.2, 0.5),)), make_sinusoid_basis(2, 3))
+        (traj,) = rollout_batch(two_bus, DroopController.initial(2), [scen],
+                                horizon=0.1, record=record)
+        missing = next(r for r in ("delta", "u", "p") if r not in record)
+        with pytest.raises(ValueError, match=f"^trajectory has no {missing} history; "
+                                             "record it to write a CSV$"):
+            traj.write_csv(tmp_path / "traj.csv")
+        assert not (tmp_path / "traj.csv").exists()
 
     def test_csv_header_and_rows(self, two_bus, tmp_path):
         traj = self.make(two_bus)
