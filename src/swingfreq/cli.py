@@ -23,6 +23,7 @@ result depends on its value.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -414,11 +415,14 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     header = ["controller", "scenario_hash", "n_scenarios"]
     header += [f"{c}_{stat}" for c in cols for stat in ("mean", "se")]
-    lines = [",".join(header)] + [
-        ",".join([label, set_hash, str(s["n_scenarios"])] + [repr(s[h]) for h in header[3:]])
-        for label, s in summary.items()
-    ]
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n")
+    # a label may be a file path, which may hold a comma or a quote
+    with open(out / "comparison.csv", "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [label, set_hash, str(s["n_scenarios"])] + [repr(s[h]) for h in header[3:]]
+            for label, s in summary.items()
+        )
     _write_json(
         out / "comparison.json",
         {

@@ -16,14 +16,17 @@ loss horizon are module constants (`make_cost_spec`).  The backward pass
 walks the same recurrence with hand-written vector-Jacobian products for
 every term: network coupling via Hessian-vector products, controller terms
 via the hooks the controllers expose.  It keeps only the angle, frequency and
-control histories, so memory stays linear in the horizon.  Both passes read
-one `ScenarioStack`, which holds the run's network, controller and step
-count; the backward pass walks the forward pass's forcing blocks in reverse,
-rebuilding each bit for bit from the same first row and turn table, and
-takes the controller terms that do not feed the recurrence and the action
-seed once per block.  The max is handled as a hard max with the subgradient
-placed at the earliest maximizing sample, a single seed per bus; a
-log-sum-exp softening, with a dense seed, is available behind a flag.
+control histories, so memory stays linear in the horizon; the loss is reduced
+over them a block of records at a time, so they are the only horizon-sized
+arrays of a gradient call.  Both passes read one `ScenarioStack`, which
+holds the run's network, controller and step count; the backward pass walks
+the forward pass's forcing blocks in reverse, rebuilding each bit for bit
+from the same first row and turn table, and takes the controller terms
+that do not feed the recurrence and the action seed once per block.  The
+max is handled as a hard max with the subgradient placed at the earliest
+maximizing sample, a single seed per bus; a log-sum-exp softening, with a
+dense seed formed per record as the adjoint reads it, is available behind
+a flag.
 
 Everything is deterministic given the seeds: scenario draws come from
 spawned `SeedSequence` children, and the per-epoch shuffle is keyed by
@@ -84,6 +87,7 @@ ADAM_EPS = 1e-8
 FD_STEP = 1e-4  # central-difference step of `gradient_check`
 MIN_GRAD = 1e-6  # `gradient_check` skips derivatives below this both ways
 GRAD_TOL = 1e-4  # largest relative error `GradientCheckReport.ok` accepts
+_LOSS_BLOCK = 64  # records per block of `_loss_terms`'s reductions
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,25 +257,88 @@ def _forward(net, controller, scenarios, dt, T, delta_star):
     return stack, hist["delta"], hist["omega"], hist["u"][:-1]
 
 
+def _reduce_records(ufunc, hist: np.ndarray, fill) -> np.ndarray:
+    """ufunc.reduce over the records (axis 0) of fill(hist), `_LOSS_BLOCK`
+    records at a time.
+
+    fill(block, out) writes the block's elementwise values into out; they
+    must be non-negative, as the reduction starts from 0.  Each block's
+    reduction carries the running value in as its first row, and numpy
+    reduces a non-inner axis one record after another, so the result is the
+    whole-history reduction bit for bit.
+    """
+    rows = min(_LOSS_BLOCK, hist.shape[0])
+    buf = np.empty((rows + 1,) + hist.shape[1:])
+    acc = np.zeros(hist.shape[1:])
+    for k0 in range(0, hist.shape[0], _LOSS_BLOCK):
+        block = hist[k0 : k0 + _LOSS_BLOCK]
+        r = block.shape[0]
+        buf[0] = acc
+        fill(block, buf[1 : r + 1])
+        ufunc.reduce(buf[: r + 1], axis=0, out=acc)
+    return acc
+
+
+def _first_peak(omega_h: np.ndarray) -> np.ndarray:
+    """Earliest record of each entry's largest |omega|, a block at a time."""
+    shape = omega_h.shape[1:]
+    best = np.full(shape, -np.inf)
+    kstar = np.zeros(shape, dtype=np.intp)
+    buf = np.empty((min(_LOSS_BLOCK, omega_h.shape[0]),) + shape)
+    for k0 in range(0, omega_h.shape[0], _LOSS_BLOCK):
+        block = omega_h[k0 : k0 + _LOSS_BLOCK]
+        absw = np.abs(block, out=buf[: block.shape[0]])
+        top = absw.max(axis=0)
+        # strictly greater: on a tie the earlier block's record stays
+        later = top > best
+        if later.any():  # after the first peak most blocks raise none
+            np.copyto(best, top, where=later)
+            np.copyto(kstar, absw.argmax(axis=0) + k0, where=later)
+    return kstar
+
+
+class _SmoothSeed:
+    """The smooth max's omega seed, sign(w) z / zsum / B with
+    z = exp(TEMP (|w| - m)), formed for a record when the adjoint reads it."""
+
+    def __init__(self, omega_h: np.ndarray, m: np.ndarray, zsum: np.ndarray):
+        self.omega_h, self.m, self.zsum = omega_h, m, zsum
+
+    def __contains__(self, k: int) -> bool:
+        return 0 <= k < self.omega_h.shape[0]
+
+    def __getitem__(self, k: int) -> tuple[slice, np.ndarray]:
+        w = self.omega_h[k]
+        z = np.exp(SMOOTH_MAX_TEMP * (np.abs(w) - self.m))
+        return slice(None), (np.sign(w) * z / self.zsum / w.shape[0]).reshape(-1)
+
+
 def _loss_terms(omega_h, u_h, cost: CostSpec, dt, smooth_max: bool):
     """Batch-mean loss plus the loss seed on the omega history.
 
     The seed maps a record k to (flat (B, n) indices, values) where it is
     nonzero.  The hard max's seed is sign / B at each bus's earliest
-    maximizer k*, so most records have none; the smooth max's is dense.  The
-    seed on u, 2 gamma c u dt / B, the adjoint forms per block.
+    maximizer k*, so most records have none; the smooth max's is dense and
+    formed per record as the adjoint reads it.  The seed on u,
+    2 gamma c u dt / B, the adjoint forms per block.  The reductions over
+    the histories run `_LOSS_BLOCK` records at a time, so nothing here is
+    horizon-sized, and they equal the whole-history reductions bit for bit.
     """
-    K1, B = omega_h.shape[:2]
+    B = omega_h.shape[1]
     if smooth_max:
-        absw = np.abs(omega_h)
-        m = absw.max(axis=0)
-        z = np.exp(SMOOTH_MAX_TEMP * (absw - m))
-        zsum = z.sum(axis=0)
+        m = _reduce_records(np.maximum, omega_h, np.abs)
+
+        def fill_z(w, out):
+            np.abs(w, out=out)
+            np.subtract(out, m, out=out)
+            np.multiply(SMOOTH_MAX_TEMP, out, out=out)
+            np.exp(out, out=out)
+
+        zsum = _reduce_records(np.add, omega_h, fill_z)
         peak = m + np.log(zsum) / SMOOTH_MAX_TEMP
-        dense = (np.sign(omega_h) * z / zsum / B).reshape(K1, -1)
-        seed_w = {k: (slice(None), dense[k]) for k in range(K1)}
+        seed_w = _SmoothSeed(omega_h, m, zsum)
     else:
-        kstar = np.abs(omega_h).argmax(axis=0)
+        kstar = _first_peak(omega_h)
         w_star = np.take_along_axis(omega_h, kstar[None], axis=0)[0]
         peak = np.abs(w_star)
         at: dict[int, list[int]] = {}
@@ -279,12 +346,12 @@ def _loss_terms(omega_h, u_h, cost: CostSpec, dt, smooth_max: bool):
             at.setdefault(k, []).append(i)
         value = np.sign(w_star).ravel() / B
         seed_w = {k: (idx, value[idx]) for k, idx in at.items()}
-    action = (u_h**2).sum(axis=0) * dt
+    action = _reduce_records(np.add, u_h, np.square) * dt
     loss_b = peak.sum(axis=-1) + cost.gamma * (cost.c * action).sum(axis=-1)
     return float(loss_b.mean()), seed_w
 
 
-def _add_seed(lam_w: np.ndarray, seed_w: dict, k: int) -> None:
+def _add_seed(lam_w: np.ndarray, seed_w, k: int) -> None:
     """Add record k's omega seed to lam_w in place."""
     if k in seed_w:
         idx, value = seed_w[k]
@@ -300,7 +367,9 @@ def _backward(stack: ScenarioStack, delta_h, omega_h, u_h, seed_w, cost):
     pull-back onto the frequencies, feeds the recurrence; dt * lam_a is kept
     per forcing block, (rows, l, B, n), and the rate gradient
     sum_k sum_b dt lam_a omega phi is reduced once per block, as are the
-    base controller's VJP and the action seed.
+    base controller's VJP and the action seed.  The omega seed is read one
+    record at a time through `_add_seed`, from the hard max's dict or the
+    smooth max's `_SmoothSeed`, so no dense seed is held.
     """
     net, controller = stack.net, stack.controller
     K, n, B = stack.n_steps, stack.n, stack.B
@@ -374,12 +443,19 @@ def grad_loss(
 ) -> tuple[float, np.ndarray]:
     """Loss and its exact gradient with respect to the raw parameter vector.
 
-    Raises IntegrationError naming the step (and, for the forward state, the
-    scenario in a batch) if the forward state or the adjoint sweep produces
-    non-finite values.
+    The horizon-sized arrays of a call are the delta, omega and control
+    histories the adjoint reads; the loss is reduced over them a block of
+    records at a time.  Raises IntegrationError naming the step (and, for
+    the forward state, the scenario in a batch) if the forward state or the
+    adjoint sweep produces non-finite values.
     """
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
+    return _loss_grad(net, controller, scenarios, cost, dt, smooth_max, delta_star)[:2]
+
+
+def _loss_grad(net, controller, scenarios, cost, dt, smooth_max, delta_star):
+    """`grad_loss`'s loss and gradient, and the omega history they came from."""
     # overflow here is a divergence signal, not a bug: it surfaces as
     # IntegrationError and the training loop falls back to good parameters
     with np.errstate(over="ignore", invalid="ignore"):
@@ -390,7 +466,7 @@ def grad_loss(
         grad = _backward(stack, delta_h, omega_h, u_h, seed_w, cost)
     if not np.all(np.isfinite(grad)):
         raise IntegrationError("non-finite gradient in the adjoint sweep")
-    return loss, grad
+    return loss, grad, omega_h
 
 
 # --- optimizer and training loop --------------------------------------------
@@ -581,11 +657,9 @@ def gradient_check(
         coord = int(gen.integers(raw0.size))
         scen = scenarios[s_idx]
         if s_idx not in cache:
-            omega_h = _forward(net, controller, [scen], dt, cost.T, delta_star)[2]
-            grad = grad_loss(
-                net, controller, scen, cost,
-                dt=dt, smooth_max=smooth_max, delta_star=delta_star,
-            )[1]
+            _, grad, omega_h = _loss_grad(
+                net, controller, [scen], cost, dt, smooth_max, delta_star
+            )
             bad = not smooth_max and _near_kink_or_tie(
                 omega_h, controller, tie_tol, kink_tol
             )

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import warnings
@@ -448,9 +449,25 @@ class TestEvaluate:
 
     @staticmethod
     def labels(out):
-        rows = (out / "comparison.csv").read_text().strip().splitlines()[1:]
-        return [row.split(",")[0] for row in rows], list(
+        with open(out / "comparison.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert {len(row) for row in rows} == {11}
+        return [row[0] for row in rows[1:]], list(
             json.loads((out / "comparison.json").read_text())["summary"])
+
+    def test_labels_with_a_comma_or_a_quote_are_quoted(self, tmp_path):
+        paths = [tmp_path / "x,y.json", tmp_path / 'say "hi".json']
+        for path in paths:
+            save_controller(DroopController.initial(2), path)
+        rc = main(["evaluate", "--case", "two_bus", "--controller", str(paths[0]),
+                   "--controller", str(paths[1]), "--controller", "droop",
+                   "--scenarios", "2", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        expected = ["x,y", 'say "hi"', "droop"]
+        csv_labels, json_labels = self.labels(tmp_path / "out")
+        assert csv_labels == expected and sorted(json_labels) == sorted(expected)
+        text = (tmp_path / "out" / "comparison.csv").read_text()
+        assert '"x,y",' in text and '"say ""hi""",' in text
 
     def test_files_sharing_a_stem_are_labelled_by_path(self, tmp_path):
         a, b = tmp_path / "a" / "checkpoint.json", tmp_path / "b" / "checkpoint.json"

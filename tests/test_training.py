@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,125 @@ class TestBatchEngine:
         s2 = type(s1)(s1.dist, make_constant_basis(2))
         with pytest.raises(ValueError, match="basis layout"):
             batch_loss(two_bus, DroopController.initial(2), [s1, s2], cost)
+
+
+def whole_history_loss_terms(omega_h, u_h, cost, dt, smooth_max):
+    """Oracle of `_loss_terms`: the same reductions over whole-history
+    temporaries, with the smooth max's seed as a dense (K+1, B n) array."""
+    K1, B = omega_h.shape[:2]
+    if smooth_max:
+        absw = np.abs(omega_h)
+        m = absw.max(axis=0)
+        z = np.exp(training.SMOOTH_MAX_TEMP * (absw - m))
+        zsum = z.sum(axis=0)
+        peak = m + np.log(zsum) / training.SMOOTH_MAX_TEMP
+        seed_w = (np.sign(omega_h) * z / zsum / B).reshape(K1, -1)
+    else:
+        kstar = np.abs(omega_h).argmax(axis=0)
+        w_star = np.take_along_axis(omega_h, kstar[None], axis=0)[0]
+        peak = np.abs(w_star)
+        at = {}
+        for i, k in enumerate(kstar.ravel().tolist()):
+            at.setdefault(k, []).append(i)
+        value = np.sign(w_star).ravel() / B
+        seed_w = {k: (idx, value[idx]) for k, idx in at.items()}
+    action = (u_h**2).sum(axis=0) * dt
+    loss_b = peak.sum(axis=-1) + cost.gamma * (cost.c * action).sum(axis=-1)
+    return float(loss_b.mean()), seed_w
+
+
+def assert_loss_terms_match_oracle(omega_h, u_h, cost, smooth_max):
+    loss, seed_w = training._loss_terms(omega_h, u_h, cost, 0.01, smooth_max)
+    want_loss, want_seed = whole_history_loss_terms(omega_h, u_h, cost, 0.01, smooth_max)
+    assert np.array_equal(loss, want_loss)
+    if smooth_max:
+        K1 = omega_h.shape[0]
+        assert -1 not in seed_w and K1 not in seed_w
+        for k in range(K1):
+            assert k in seed_w
+            idx, value = seed_w[k]
+            assert idx == slice(None) and np.array_equal(value, want_seed[k])
+    else:
+        assert seed_w.keys() == want_seed.keys()
+        for k, (idx, value) in want_seed.items():
+            assert np.array_equal(seed_w[k][0], idx)
+            assert np.array_equal(seed_w[k][1], value)
+    return seed_w
+
+
+SMOOTH = pytest.mark.parametrize("smooth_max", [False, True], ids=["hard", "smooth"])
+
+
+class TestBlockedLossTerms:
+    @SMOOTH
+    def test_ne39_forward_matches_whole_history(self, smooth_max, ne39):
+        cost = make_cost_spec(ne39, 0)
+        ctrl = AdaptiveController.initial(MonotonePWLController.initial(ne39.n), 3)
+        _, _, omega_h, u_h = training._forward(
+            ne39, ctrl, make_scenarios(ne39, 3, 8), 0.01, cost.T, None
+        )
+        assert omega_h.shape[0] % training._LOSS_BLOCK not in (0, 1)
+        assert_loss_terms_match_oracle(omega_h, u_h, cost, smooth_max)
+
+    @SMOOTH
+    @pytest.mark.parametrize("past", [1, 2])
+    def test_one_record_past_a_block(self, smooth_max, past):
+        # past=1 puts omega one record past a multiple of the block, past=2 u
+        rng = np.random.default_rng(past)
+        K1 = 2 * training._LOSS_BLOCK + past
+        omega_h = rng.normal(size=(K1, 3, 5))
+        u_h = rng.normal(size=(K1 - 1, 3, 5))
+        cost = CostSpec(gamma=0.1, c=rng.uniform(0.02, 0.08, 5), T=1.0)
+        assert_loss_terms_match_oracle(omega_h, u_h, cost, smooth_max)
+
+    @SMOOTH
+    def test_tie_across_blocks_keeps_the_earliest_record(self, smooth_max):
+        L = training._LOSS_BLOCK
+        omega_h = np.full((3 * L + 1, 2, 2), 0.1)
+        u_h = np.full((3 * L, 2, 2), 0.2)
+        omega_h[L - 3, 0, 0], omega_h[2 * L + 5, 0, 0] = 0.5, 0.5
+        omega_h[L - 1, 0, 1], omega_h[L, 0, 1] = -0.7, 0.7  # opposite signs
+        omega_h[L + 2, 1, 0], omega_h[3 * L, 1, 0] = 0.9, -0.9
+        cost = CostSpec(gamma=0.1, c=np.full(2, 0.05), T=1.0)
+        seed_w = assert_loss_terms_match_oracle(omega_h, u_h, cost, smooth_max)
+        if not smooth_max:
+            # flat indices: (0, 0) -> 0, (0, 1) -> 1, (1, 0) -> 2, (1, 1) -> 3;
+            # the untouched (1, 1) is flat, so its first record wins
+            assert {k: (list(i), v.tolist()) for k, (i, v) in seed_w.items()} == {
+                0: ([3], [0.5]),
+                L - 3: ([0], [0.5]),
+                L - 1: ([1], [-0.5]),
+                L + 2: ([2], [0.5]),
+            }
+
+    @SMOOTH
+    def test_all_zero_omega_peaks_at_record_0(self, smooth_max):
+        omega_h = np.zeros((2 * training._LOSS_BLOCK + 7, 2, 3))
+        u_h = np.ones((omega_h.shape[0] - 1, 2, 3))
+        cost = CostSpec(gamma=0.1, c=np.full(3, 0.05), T=1.0)
+        seed_w = assert_loss_terms_match_oracle(omega_h, u_h, cost, smooth_max)
+        if not smooth_max:
+            assert list(seed_w) == [0] and np.array_equal(seed_w[0][1], np.zeros(6))
+
+    @SMOOTH
+    def test_memory_stays_block_sized(self, smooth_max):
+        # 4001 records of (25, 39): 31 MB per history, as a 40 s horizon at
+        # dt 0.01 on ne39 with a batch of 25
+        rng = np.random.default_rng(0)
+        omega_h = rng.normal(size=(4001, 25, 39))
+        u_h = rng.normal(size=(4000, 25, 39))
+        cost = CostSpec(gamma=0.1, c=np.full(39, 0.05), T=40.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss, seed_w = training._loss_terms(omega_h, u_h, cost, 0.01, smooth_max)
+            training._add_seed(np.zeros((25, 39)), seed_w, 4000)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss)
+        assert peak - before < 2e6
+        assert after - before < 0.5e6  # the seed holds (B, n)-sized arrays only
 
 
 def per_step_grad(net, controller, scenarios, cost, dt):
