@@ -157,6 +157,17 @@ class Controller(ABC):
     def control_vjp_raw(self, omega: np.ndarray, bar_u: np.ndarray) -> np.ndarray:
         """Accumulate d(sum bar_u * u)/d(raw), summing over leading axes."""
 
+    def linearize(self, omega, phi=None, a_hat=None):
+        """`control`, `control_wrt_omega` and the `control_vjp_raw` pull-back at
+        omega, as (u, du_domega, vjp) with vjp(bar_u) the raw gradient for a
+        bar_u of omega's shape.  A controller whose three share work (the PWL
+        segment lookup) does it once."""
+        return (
+            self.control(omega, phi, a_hat),
+            self.control_wrt_omega(omega),
+            lambda bar_u: self.control_vjp_raw(omega, bar_u),
+        )
+
     def adaptation(self, omega: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
         """Estimate rates d(ahat)/dt, (l,) + omega.shape, written into `out` when given."""
         raise ControllerError("controller has no adaptation dynamics")
@@ -291,17 +302,28 @@ class MonotonePWLController(Controller):
     def slopes(self) -> np.ndarray:
         return self._slopes
 
-    def _segments(self, omega: np.ndarray) -> np.ndarray:
-        """Flat (bus, segment) table index of each omega."""
-        return self.breakpoints.searchsorted(omega, side="left") + self._bus_offset
+    def _segments(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (bus, segment) table index of each omega, and omega's offset
+        from that segment's reference point."""
+        flat = self.breakpoints.searchsorted(omega, side="left") + self._bus_offset
+        return flat, omega - self._refs.take(flat)
 
-    def control(self, omega, phi=None, a_hat=None, out=None):
-        flat = self._segments(omega)
-        offset = omega - self._refs.take(flat)
+    def _value(self, flat, offset, out=None):
         return np.add(self._values.take(flat), self._slopes.take(flat) * offset, out=out)
 
+    def control(self, omega, phi=None, a_hat=None, out=None):
+        return self._value(*self._segments(omega), out)
+
     def control_wrt_omega(self, omega):
-        return self._slopes.take(self._segments(omega))
+        return self._slopes.take(self._segments(omega)[0])
+
+    def linearize(self, omega, phi=None, a_hat=None):
+        flat, offset = self._segments(omega)
+        return (
+            self._value(flat, offset),
+            self._slopes.take(flat),
+            lambda bar_u: self._slope_vjp(flat, offset, bar_u),
+        )
 
     def raw_parameters(self):
         return self.raw_slopes.ravel().copy()
@@ -311,14 +333,15 @@ class MonotonePWLController(Controller):
         return MonotonePWLController(self.breakpoints, raw.reshape(self.raw_slopes.shape))
 
     def control_vjp_raw(self, omega, bar_u):
-        # d u_i / d slope_ij = overlap[s, j] + [j = s] * (omega - ref_s)
         omega = np.asarray(omega, dtype=float)
         bar = np.asarray(bar_u, dtype=float)
         if bar.shape != omega.shape:
             omega, bar = np.broadcast_arrays(omega, bar)
-        flat = self._segments(omega)
-        offset = (omega - self._refs.take(flat)).ravel()
-        flat, bar = flat.ravel(), bar.ravel()
+        return self._slope_vjp(*self._segments(omega), bar)
+
+    def _slope_vjp(self, flat, offset, bar):
+        # d u_i / d slope_ij = overlap[s, j] + [j = s] * (omega - ref_s)
+        flat, offset, bar = flat.ravel(), offset.ravel(), np.ravel(bar)
         size, shape = self._slopes.size, self._slopes.shape
         total = np.bincount(flat, bar, size).reshape(shape)
         moment = np.bincount(flat, bar * offset, size).reshape(shape)
@@ -464,12 +487,25 @@ class AdaptiveController(Controller):
     def control(self, omega, phi=None, a_hat=None, out=None):
         """base(omega) + sum_j phi_j ahat_j; phi and a_hat are (l,) + omega.shape."""
         phi, a_hat = self._check_view(phi, a_hat)
-        u = self.base.control(omega, out=out)
+        return self._plus_estimates(self.base.control(omega, out=out), phi, a_hat)
+
+    @staticmethod
+    def _plus_estimates(u, phi, a_hat):
         # summed over the leading feature axis, one feature after another
         return np.add(u, np.add.reduce(phi * a_hat, 0), out=u)
 
     def control_wrt_omega(self, omega):
         return self.base.control_wrt_omega(omega)
+
+    def linearize(self, omega, phi=None, a_hat=None):
+        phi, a_hat = self._check_view(phi, a_hat)
+        u, du_domega, base_vjp = self.base.linearize(omega)
+        rates = np.zeros(self.raw_rate.size)
+        return (
+            self._plus_estimates(u, phi, a_hat),
+            du_domega,
+            lambda bar_u: np.concatenate([base_vjp(bar_u), rates]),
+        )
 
     def adaptation(self, omega, phi, out=None):
         """d(ahat)/dt = omega_i * A_i phi_i, shape (l,) + omega.shape."""

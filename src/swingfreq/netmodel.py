@@ -32,6 +32,8 @@ __all__ = [
     "coi_project",
     "grad_S",
     "hessian_S",
+    "hessian_weights",
+    "laplacian_vecprod",
     "load_case",
     "potential_S",
     "solve_equilibrium",
@@ -253,15 +255,26 @@ def grad_S(net: Network, delta: np.ndarray) -> np.ndarray:
     return flows @ net.incidence
 
 
+def hessian_weights(net: Network, delta: np.ndarray) -> np.ndarray:
+    """Per-edge weights B_ij cos(delta_i - delta_j) of the Hessian of S; batched."""
+    return net.b_edge * np.cos(net.edge_differences(delta))
+
+
 def hessian_S(net: Network, delta: np.ndarray) -> np.ndarray:
-    """Hessian of S, the Laplacian inc' diag(B_ij cos(delta_i - delta_j)) inc; batched."""
-    w = net.b_edge * np.cos(net.edge_differences(delta))
+    """Hessian of S, the Laplacian inc' diag(`hessian_weights`) inc; batched."""
+    w = hessian_weights(net, delta)
     return (net.incidence.T * w[..., None, :]) @ net.incidence
 
 
 def hess_S_vecprod(net: Network, delta: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Hessian-vector product without forming the matrix; batched."""
-    w = net.b_edge * np.cos(net.edge_differences(delta))
+    return laplacian_vecprod(net, hessian_weights(net, delta), v)
+
+
+def laplacian_vecprod(net: Network, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The edge-weighted Laplacian inc' diag(w) inc times v; batched.  With w
+    the `hessian_weights` of delta it is `hess_S_vecprod`, so a caller can take
+    the weights of many angle vectors in one call."""
     return (w * net.edge_differences(v)) @ net.incidence
 
 

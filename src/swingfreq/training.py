@@ -15,18 +15,21 @@ oracle.  gamma, the range the per-bus c_i are drawn from and the
 loss horizon are module constants (`make_cost_spec`).  The backward pass
 walks the same recurrence with hand-written vector-Jacobian products for
 every term: network coupling via Hessian-vector products, controller terms
-via the hooks the controllers expose.  It keeps only the angle, frequency and
-control histories, so memory stays linear in the horizon; the loss is reduced
-over them a block of records at a time, so they are the only horizon-sized
-arrays of a gradient call.  Both passes read one `ScenarioStack`, which
-holds the run's network, controller and step count; the backward pass walks
-the forward pass's forcing blocks in reverse, rebuilding each bit for bit
-from the same first row and turn table, and takes the controller terms
-that do not feed the recurrence and the action seed once per block.  The
-max is handled as a hard max with the subgradient placed at the earliest
-maximizing sample, a single seed per bus; a log-sum-exp softening, with a
-dense seed formed per record as the adjoint reads it, is available behind
-a flag.
+via the hooks the controllers expose.  The forward pass records the
+frequency history alone, the one horizon-sized array of a gradient call; the
+loss is reduced over it a block of records at a time, and an observer sums
+the action and keeps the angles and estimates at the first step of each
+forcing block.  Both passes read one `ScenarioStack`, which holds the run's
+network, controller and step count; the backward pass walks the forward
+pass's forcing blocks in reverse, rebuilding each bit for bit from the same
+first row and turn table, and replays the block's angles, estimates and
+controls from its start (they are pure integrals of omega, so no network
+term is needed).  It takes the Hessian weights, one linearization of the
+controller, the controller terms that do not feed the recurrence and the
+action seed once per block.  The max is handled as a hard max with the
+subgradient placed at the earliest maximizing sample, a single seed per
+bus; a log-sum-exp softening, with a dense seed formed per record as the
+adjoint reads it, is available behind a flag.
 
 Everything is deterministic given the seeds: scenario draws come from
 spawned `SeedSequence` children, and the per-epoch shuffle is keyed by
@@ -56,7 +59,7 @@ from .dynamics import (
     _integrate,
     make_sinusoid_basis,
 )
-from .netmodel import Network, coi_project, hess_S_vecprod, solve_equilibrium
+from .netmodel import Network, coi_project, hessian_weights, laplacian_vecprod, solve_equilibrium
 
 __all__ = [
     "AdamState",
@@ -243,18 +246,34 @@ def score_battery(
 
 
 def _forward(net, controller, scenarios, dt, T, delta_star):
-    """Euler rollout of the batch through the dynamics core.
+    """Euler rollout of the batch through the dynamics core, recording omega
+    alone.
 
     Returns the scenario stack (the adjoint reads the network and controller
-    from it and rebuilds its forcing blocks) and the time-major histories the
-    adjoint needs: delta and omega (K+1, B, n) and the K controls that drive
-    the steps.
+    from it and rebuilds its forcing blocks), the omega history (K+1, B, n),
+    the starts the adjoint replays each forcing block from and the action sum,
+    sum_{k<K} u_k^2, (B, n).  An observer of the integrator keeps the packed
+    delta and estimate rows at the first step of each block, `starts`
+    (blocks, 1 + l, B, n), and adds the squared controls in record order, bit
+    for bit the blocked `_reduce_records` sum over the control history.
     """
     if isinstance(controller, SaturatedController):
         raise ControllerError("training through saturation is not supported")
     stack = ScenarioStack(net, controller, scenarios, T, dt, "euler", delta_star)
-    hist = _integrate(stack, ("delta", "omega", "u"))
-    return stack, hist["delta"], hist["omega"], hist["u"][:-1]
+    K, x0 = stack.n_steps, stack.x0
+    starts = np.empty(((K - 1) // FORCING_ROWS + 1, x0.shape[0] - 1) + x0.shape[1:])
+    usq, sq = np.zeros(x0.shape[1:]), np.empty(x0.shape[1:])
+
+    def observe(k, x, u):
+        if k == K:
+            return
+        if k % FORCING_ROWS == 0:
+            start = starts[k // FORCING_ROWS]
+            start[0], start[1:] = x[0], x[2:]
+        np.add(usq, np.square(u, out=sq), out=usq)
+
+    omega_h = _integrate(stack, ("omega",), observe)["omega"]
+    return stack, omega_h, starts, usq
 
 
 def _reduce_records(ufunc, hist: np.ndarray, fill) -> np.ndarray:
@@ -313,16 +332,18 @@ class _SmoothSeed:
         return slice(None), (np.sign(w) * z / self.zsum / w.shape[0]).reshape(-1)
 
 
-def _loss_terms(omega_h, u_h, cost: CostSpec, dt, smooth_max: bool):
-    """Batch-mean loss plus the loss seed on the omega history.
+def _loss_terms(omega_h, usq, cost: CostSpec, dt, smooth_max: bool):
+    """Batch-mean loss, given the omega history and the action sum
+    usq = sum_{k<K} u_k^2, plus the loss seed on the omega history.
 
     The seed maps a record k to (flat (B, n) indices, values) where it is
     nonzero.  The hard max's seed is sign / B at each bus's earliest
     maximizer k*, so most records have none; the smooth max's is dense and
     formed per record as the adjoint reads it.  The seed on u,
-    2 gamma c u dt / B, the adjoint forms per block.  The reductions over
-    the histories run `_LOSS_BLOCK` records at a time, so nothing here is
-    horizon-sized, and they equal the whole-history reductions bit for bit.
+    2 gamma c u dt / B, the adjoint forms per block from the controls it
+    replays.  The reductions over omega run `_LOSS_BLOCK` records at a time,
+    so nothing here is horizon-sized, and they equal the whole-history
+    reductions bit for bit.
     """
     B = omega_h.shape[1]
     if smooth_max:
@@ -346,7 +367,7 @@ def _loss_terms(omega_h, u_h, cost: CostSpec, dt, smooth_max: bool):
             at.setdefault(k, []).append(i)
         value = np.sign(w_star).ravel() / B
         seed_w = {k: (idx, value[idx]) for k, idx in at.items()}
-    action = _reduce_records(np.add, u_h, np.square) * dt
+    action = usq * dt
     loss_b = peak.sum(axis=-1) + cost.gamma * (cost.c * action).sum(axis=-1)
     return float(loss_b.mean()), seed_w
 
@@ -358,18 +379,63 @@ def _add_seed(lam_w: np.ndarray, seed_w, k: int) -> None:
         lam_w.reshape(-1)[idx] += value
 
 
-def _backward(stack: ScenarioStack, delta_h, omega_h, u_h, seed_w, cost):
+def _replay(stack: ScenarioStack, omega_h, starts):
+    """Rebuild the forward pass's delta, estimates and control for each
+    forcing block, last block first, from the block's start.
+
+    Yields (k0, phi view, delta, a_hat, terms) over the block's steps: the
+    feature view and the estimates feature-first, (l, rows, B, n) (None
+    without estimates), delta (rows, B, n) and `Controller.linearize` over the
+    block, (u, du/domega, raw VJP).  Angles and estimates are pure integrals
+    of omega and replay without a network term by the forward pass's own
+    operations, so they equal its rows bit for bit:
+    delta_{k+1} = coi(delta_k + dt coi(omega_k)), coi(omega) taken once per
+    block, and ahat_{k+1} = ahat_k + dt adaptation(omega_k, phi_k), one
+    contiguous add per step.  The arrays are views of buffers reused from
+    block to block.
+    """
+    controller, dt, K = stack.controller, stack.dt, stack.n_steps
+    l, rows = controller.n_features, min(FORCING_ROWS, K)
+    delta = np.empty((rows,) + omega_h.shape[1:])
+    a_hat = np.empty((rows, l) + omega_h.shape[1:])
+    for block in range((K - 1) // FORCING_ROWS, -1, -1):
+        k0 = block * FORCING_ROWS
+        r = min(FORCING_ROWS, K - k0)
+        omega, d, a = omega_h[k0 : k0 + r], delta[:r], a_hat[:r]
+        # row j + 1 first holds step j's increment, then row j is added to
+        # it; addition commutes, so the sum is the forward's bit for bit
+        d[0], a[0] = starts[block, 0], starts[block, 1:]
+        np.multiply(dt, coi_project(omega[:-1], out=d[1:]), out=d[1:])
+        for j in range(r - 1):
+            coi_project(np.add(d[j], d[j + 1], out=d[j + 1]), out=d[j + 1])
+        view = a_view = None
+        if l:
+            view = controller.select_features(stack.forcing(block).swapaxes(0, 1))[:, :r]
+            controller.adaptation(omega[:-1], view[:, :-1], out=a[1:].swapaxes(0, 1))
+            np.multiply(dt, a[1:], out=a[1:])
+            for j in range(r - 1):
+                np.add(a[j], a[j + 1], out=a[j + 1])
+            a_view = a.swapaxes(0, 1)
+        yield k0, view, d, a_view, controller.linearize(omega, view, a_view)
+
+
+def _backward(stack: ScenarioStack, omega_h, starts, seed_w, cost):
     """Adjoint sweep of the Euler recurrence of a stack's run; returns the
     raw-parameter gradient of its controller.
 
-    The adjoint of the estimates, lam_a, is feature-first, (l, B, n), like
-    the estimate rows of the packed state.  Per step only bar_omega, its
-    pull-back onto the frequencies, feeds the recurrence; dt * lam_a is kept
-    per forcing block, (rows, l, B, n), and the rate gradient
-    sum_k sum_b dt lam_a omega phi is reduced once per block, as are the
-    base controller's VJP and the action seed.  The omega seed is read one
-    record at a time through `_add_seed`, from the hard max's dict or the
-    smooth max's `_SmoothSeed`, so no dense seed is held.
+    omega is the one history it reads; delta, the estimates and the controls
+    of each forcing block it replays from the block's start (`_replay`), so
+    what it holds beside omega is block-sized.  Per block it takes the
+    Hessian weights of the block's angles in one call and one linearization
+    of the controller (one PWL segment lookup gives u, du/domega and the
+    slope VJP).  The adjoint of the estimates, lam_a, is feature-first,
+    (l, B, n), like the estimate rows of the packed state.  Per step only
+    bar_omega, its pull-back onto the frequencies, feeds the recurrence;
+    dt * lam_a is kept per forcing block, (rows, l, B, n), and the rate
+    gradient sum_k sum_b dt lam_a omega phi is reduced once per block, as
+    are the base controller's VJP and the action seed.  The omega seed is
+    read one record at a time through `_add_seed`, from the hard max's dict
+    or the smooth max's `_SmoothSeed`, so no dense seed is held.
     """
     net, controller = stack.net, stack.controller
     K, n, B = stack.n_steps, stack.n, stack.B
@@ -383,23 +449,23 @@ def _backward(stack: ScenarioStack, delta_h, omega_h, u_h, seed_w, cost):
     bar_u_block = np.empty((rows, B, n))
     bar_a_block = np.empty((rows,) + lam_a.shape)
     dt = stack.dt
-    # an Euler forcing block b holds steps [b FORCING_ROWS, (b + 1) FORCING_ROWS)
-    for block in range((K - 1) // FORCING_ROWS, -1, -1):
-        k0 = block * FORCING_ROWS
-        k1 = min(k0 + FORCING_ROWS, K)
-        du_dw = controller.control_wrt_omega(omega_h[k0:k1])
-        seed_u = 2.0 * cost.gamma * cost.c * u_h[k0:k1] * dt / B
-        if adaptive:  # (l, rows, B, n): feature-first over the block's steps
-            view = controller.select_features(stack.forcing(block).swapaxes(0, 1))
+    dt_D = dt * net.D
+    for k0, view, delta, _, (seed_u, du_dw, vjp_raw) in _replay(stack, omega_h, starts):
+        k1 = k0 + delta.shape[0]
+        weights = hessian_weights(net, delta)
+        # u becomes the action seed 2 gamma c u dt / B in place
+        np.multiply(2.0 * cost.gamma * cost.c, seed_u, out=seed_u)
+        seed_u *= dt
+        seed_u /= B
         for k in range(k1 - 1, k0 - 1, -1):
             # the zero-mean projection is symmetric and idempotent, so both the
             # delta->delta and omega->delta branches pull back through it once
             lam_dp = coi_project(lam_d)
             g_m = lam_w / net.M
             bar_u = np.add(-dt * g_m, seed_u[k - k0], out=bar_u_block[k - k0])
-            new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta_h[k], g_m)
+            new_lam_d = lam_dp - dt * laplacian_vecprod(net, weights[k - k0], g_m)
             _add_seed(lam_w, seed_w, k)  # after g_m, which takes lam_w without it
-            new_lam_w = lam_w + dt * lam_dp - dt * net.D * g_m + bar_u * du_dw[k - k0]
+            new_lam_w = lam_w + dt * lam_dp - dt_D * g_m + bar_u * du_dw[k - k0]
             if adaptive:
                 phi = view[:, k - k0]
                 bar_a = np.multiply(dt, lam_a, out=bar_a_block[k - k0])
@@ -408,11 +474,13 @@ def _backward(stack: ScenarioStack, delta_h, omega_h, u_h, seed_w, cost):
             lam_d, lam_w = new_lam_d, new_lam_w
             if not np.isfinite(lam_w).all():
                 raise IntegrationError(f"non-finite adjoint at step {k}")
-        grad += controller.control_vjp_raw(omega_h[k0:k1], bar_u_block[: k1 - k0])
+        grad += vjp_raw(bar_u_block[: k1 - k0])
         if adaptive:
             grad[controller.rate_block] += controller.adaptation_vjp(
-                omega_h[k0:k1], view[:, : k1 - k0], bar_a_block[: k1 - k0].swapaxes(0, 1)
+                omega_h[k0:k1], view, bar_a_block[: k1 - k0].swapaxes(0, 1)
             )
+        # free this block's terms before the next block's are formed
+        del seed_u, du_dw, vjp_raw, weights
     return grad
 
 
@@ -426,9 +494,11 @@ def batch_loss(
     smooth_max: bool = False,
     delta_star: np.ndarray | None = None,
 ) -> float:
-    """Batch-mean transient loss of the Euler-discretized closed loop."""
-    _, _, omega_h, u_h = _forward(net, controller, scenarios, dt, cost.T, delta_star)
-    return _loss_terms(omega_h, u_h, cost, dt, smooth_max)[0]
+    """Batch-mean transient loss of the Euler-discretized closed loop.
+
+    The forward pass records omega alone and sums the action as it runs."""
+    _, omega_h, _, usq = _forward(net, controller, scenarios, dt, cost.T, delta_star)
+    return _loss_terms(omega_h, usq, cost, dt, smooth_max)[0]
 
 
 def grad_loss(
@@ -443,11 +513,12 @@ def grad_loss(
 ) -> tuple[float, np.ndarray]:
     """Loss and its exact gradient with respect to the raw parameter vector.
 
-    The horizon-sized arrays of a call are the delta, omega and control
-    histories the adjoint reads; the loss is reduced over them a block of
-    records at a time.  Raises IntegrationError naming the step (and, for
-    the forward state, the scenario in a batch) if the forward state or the
-    adjoint sweep produces non-finite values.
+    The one horizon-sized array of a call is the omega history: the loss is
+    reduced over it a block of records at a time, and the adjoint replays
+    delta, the estimates and the controls a forcing block at a time from
+    starts the forward pass kept.  Raises IntegrationError naming the step
+    (and, for the forward state, the scenario in a batch) if the forward
+    state or the adjoint sweep produces non-finite values.
     """
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
@@ -459,11 +530,11 @@ def _loss_grad(net, controller, scenarios, cost, dt, smooth_max, delta_star):
     # overflow here is a divergence signal, not a bug: it surfaces as
     # IntegrationError and the training loop falls back to good parameters
     with np.errstate(over="ignore", invalid="ignore"):
-        stack, delta_h, omega_h, u_h = _forward(
+        stack, omega_h, starts, usq = _forward(
             net, controller, scenarios, dt, cost.T, delta_star
         )
-        loss, seed_w = _loss_terms(omega_h, u_h, cost, dt, smooth_max)
-        grad = _backward(stack, delta_h, omega_h, u_h, seed_w, cost)
+        loss, seed_w = _loss_terms(omega_h, usq, cost, dt, smooth_max)
+        grad = _backward(stack, omega_h, starts, seed_w, cost)
     if not np.all(np.isfinite(grad)):
         raise IntegrationError("non-finite gradient in the adjoint sweep")
     return loss, grad, omega_h

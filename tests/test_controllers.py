@@ -208,6 +208,17 @@ class TestPWLSegmentTable:
                 )
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_linearize_equals_the_three_hooks(self, grid):
+        ctrl = self.make(grid)
+        rng = np.random.default_rng(6)
+        for w in self.points(ctrl):
+            u, du_dw, vjp_raw = ctrl.linearize(w)
+            bar_u = rng.normal(size=w.shape)
+            assert np.array_equal(u, ctrl.control(w))
+            assert np.array_equal(du_dw, ctrl.control_wrt_omega(w))
+            assert np.array_equal(vjp_raw(bar_u), ctrl.control_vjp_raw(w, bar_u))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_origin_exact(self, grid):
         for seed in range(10):
             ctrl = self.make(grid, seed=seed)

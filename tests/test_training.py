@@ -15,7 +15,11 @@ from swingfreq.dynamics import (
     FORCING_ROWS,
     Disturbance,
     IntegrationError,
+    Scenario,
+    ScenarioStack,
+    SystemState,
     Trajectory,
+    _integrate,
     make_constant_basis,
     rollout,
     rollout_batch,
@@ -208,8 +212,19 @@ def whole_history_loss_terms(omega_h, u_h, cost, dt, smooth_max):
     return float(loss_b.mean()), seed_w
 
 
+def action_sum(u_h):
+    """sum_k u_k^2 over a control history, blocked as `_loss_terms` once took it."""
+    return training._reduce_records(np.add, u_h, np.square)
+
+
+def euler_histories(net, controller, scenarios, T, dt=0.01, record=("delta", "omega", "u")):
+    """The stack of the training forward pass and its recorded histories."""
+    stack = ScenarioStack(net, controller, scenarios, T, dt, "euler")
+    return stack, _integrate(stack, record)
+
+
 def assert_loss_terms_match_oracle(omega_h, u_h, cost, smooth_max):
-    loss, seed_w = training._loss_terms(omega_h, u_h, cost, 0.01, smooth_max)
+    loss, seed_w = training._loss_terms(omega_h, action_sum(u_h), cost, 0.01, smooth_max)
     want_loss, want_seed = whole_history_loss_terms(omega_h, u_h, cost, 0.01, smooth_max)
     assert np.array_equal(loss, want_loss)
     if smooth_max:
@@ -235,9 +250,8 @@ class TestBlockedLossTerms:
     def test_ne39_forward_matches_whole_history(self, smooth_max, ne39):
         cost = make_cost_spec(ne39, 0)
         ctrl = AdaptiveController.initial(MonotonePWLController.initial(ne39.n), 3)
-        _, _, omega_h, u_h = training._forward(
-            ne39, ctrl, make_scenarios(ne39, 3, 8), 0.01, cost.T, None
-        )
+        _, hist = euler_histories(ne39, ctrl, make_scenarios(ne39, 3, 8), cost.T)
+        omega_h, u_h = hist["omega"], hist["u"][:-1]
         assert omega_h.shape[0] % training._LOSS_BLOCK not in (0, 1)
         assert_loss_terms_match_oracle(omega_h, u_h, cost, smooth_max)
 
@@ -292,7 +306,7 @@ class TestBlockedLossTerms:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            loss, seed_w = training._loss_terms(omega_h, u_h, cost, 0.01, smooth_max)
+            loss, seed_w = training._loss_terms(omega_h, action_sum(u_h), cost, 0.01, smooth_max)
             training._add_seed(np.zeros((25, 39)), seed_w, 4000)
             after, peak = tracemalloc.get_traced_memory()
         finally:
@@ -302,12 +316,27 @@ class TestBlockedLossTerms:
         assert after - before < 0.5e6  # the seed holds (B, n)-sized arrays only
 
 
+KINDS = pytest.mark.parametrize("kind", ["droop", "pwl", "integral", "adaptive"])
+
+
+def controller_of_kind(kind, n):
+    """A controller of each trainable kind on a PWL base with uneven slopes."""
+    rng = np.random.default_rng(4)
+    pwl = MonotonePWLController.initial(n, slope=2.0)
+    pwl = pwl.with_raw_parameters(pwl.raw_parameters() + rng.normal(size=pwl.raw_slopes.size))
+    return {
+        "droop": DroopController.initial(n),
+        "pwl": pwl,
+        "integral": AdaptiveController.initial(pwl, 1, feature_mode="constant"),
+        "adaptive": AdaptiveController.initial(pwl, 3),
+    }[kind]
+
+
 def per_step_grad(net, controller, scenarios, cost, dt):
     """Reference adjoint: every controller term taken at its own step."""
-    stack, delta_h, omega_h, u_h = training._forward(
-        net, controller, scenarios, dt, cost.T, None
-    )
-    _, peak_seeds = training._loss_terms(omega_h, u_h, cost, dt, False)
+    stack, hist = euler_histories(net, controller, scenarios, cost.T, dt)
+    delta_h, omega_h, u_h = hist["delta"], hist["omega"], hist["u"][:-1]
+    _, peak_seeds = training._loss_terms(omega_h, action_sum(u_h), cost, dt, False)
     seed_w = np.zeros_like(omega_h)
     for k, (idx, value) in peak_seeds.items():
         seed_w[k].reshape(-1)[idx] = value
@@ -336,21 +365,13 @@ def per_step_grad(net, controller, scenarios, cost, dt):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("kind", ["droop", "pwl", "integral", "adaptive"])
+    @KINDS
     def test_blocked_adjoint_matches_per_step_sweep(self, kind, ne39):
         # 37 steps: two full forcing blocks and a partial one
         cost = CostSpec(gamma=0.1, c=make_cost_spec(ne39, 2).c, T=0.37)
         assert round(cost.T / 0.01) % FORCING_ROWS != 0
         scens = make_scenarios(ne39, 3, 8, mag_cap=3.0)
-        rng = np.random.default_rng(4)
-        pwl = MonotonePWLController.initial(ne39.n, slope=2.0)
-        pwl = pwl.with_raw_parameters(pwl.raw_parameters() + rng.normal(size=pwl.raw_slopes.size))
-        ctrl = {
-            "droop": DroopController.initial(ne39.n),
-            "pwl": pwl,
-            "integral": AdaptiveController.initial(pwl, 1, feature_mode="constant"),
-            "adaptive": AdaptiveController.initial(pwl, 3),
-        }[kind]
+        ctrl = controller_of_kind(kind, ne39.n)
         _, got = grad_loss(ne39, ctrl, scens, cost)
         ref = per_step_grad(ne39, ctrl, scens, cost, 0.01)
         assert np.abs(ref).max() > 0
@@ -392,6 +413,138 @@ class TestGradients:
         ctrl = DroopController.initial(2)
         with pytest.raises(RuntimeError, match="checkable pairs"):
             gradient_check(two_bus, ctrl, scens, cost, pairs=10, seed=1, kink_tol=1e9, tie_tol=1e9)
+
+
+def full_history_backward(stack, delta_h, omega_h, u_h, seed_w, cost):
+    """Oracle of `_backward`: the adjoint sweep reading whole delta, omega and
+    control histories, (K+1, B, n), (K+1, B, n) and (K, B, n), with its
+    Hessian-vector products and controller hooks taken one by one."""
+    net, controller = stack.net, stack.controller
+    K, n, B = stack.n_steps, stack.n, stack.B
+    adaptive = isinstance(controller, AdaptiveController)
+    grad = np.zeros(controller.raw_parameters().size)
+    lam_d = np.zeros((B, n))
+    lam_w = np.zeros((B, n))
+    training._add_seed(lam_w, seed_w, K)
+    lam_a = np.zeros((controller.n_features, B, n))
+    rows = min(FORCING_ROWS, K)
+    bar_u_block = np.empty((rows, B, n))
+    bar_a_block = np.empty((rows,) + lam_a.shape)
+    dt = stack.dt
+    for block in range((K - 1) // FORCING_ROWS, -1, -1):
+        k0 = block * FORCING_ROWS
+        k1 = min(k0 + FORCING_ROWS, K)
+        du_dw = controller.control_wrt_omega(omega_h[k0:k1])
+        seed_u = 2.0 * cost.gamma * cost.c * u_h[k0:k1] * dt / B
+        if adaptive:
+            view = controller.select_features(stack.forcing(block).swapaxes(0, 1))
+        for k in range(k1 - 1, k0 - 1, -1):
+            lam_dp = coi_project(lam_d)
+            g_m = lam_w / net.M
+            bar_u = np.add(-dt * g_m, seed_u[k - k0], out=bar_u_block[k - k0])
+            new_lam_d = lam_dp - dt * hess_S_vecprod(net, delta_h[k], g_m)
+            training._add_seed(lam_w, seed_w, k)
+            new_lam_w = lam_w + dt * lam_dp - dt * net.D * g_m + bar_u * du_dw[k - k0]
+            if adaptive:
+                phi = view[:, k - k0]
+                bar_a = np.multiply(dt, lam_a, out=bar_a_block[k - k0])
+                new_lam_w += controller.adaptation_vjp_omega(phi, bar_a)
+                lam_a = lam_a + controller.control_vjp_ahat(phi, bar_u)
+            lam_d, lam_w = new_lam_d, new_lam_w
+            if not np.isfinite(lam_w).all():
+                raise IntegrationError(f"non-finite adjoint at step {k}")
+        grad += controller.control_vjp_raw(omega_h[k0:k1], bar_u_block[: k1 - k0])
+        if adaptive:
+            grad[controller.rate_block] += controller.adaptation_vjp(
+                omega_h[k0:k1], view[:, : k1 - k0], bar_a_block[: k1 - k0].swapaxes(0, 1)
+            )
+    return grad
+
+
+def replay_case(kind, net):
+    """A controller of `kind` and three scenarios with noise, every step
+    switching on at 0.1 s (step 10, inside the first forcing block), and the
+    second starting from an explicit state with nonzero estimates."""
+    ctrl = controller_of_kind(kind, net.n)
+    scens = list(make_scenarios(net, 3, 8, noise_eps=0.05, onset=0.1, mag_cap=3.0))
+    rng = np.random.default_rng(6)
+    x0 = SystemState(
+        training.solve_equilibrium(net) + coi_project(rng.normal(0.0, 0.02, net.n)),
+        rng.normal(0.0, 0.05, net.n),
+        rng.normal(0.0, 0.1, (net.n, ctrl.n_features)),
+    )
+    scens[1] = Scenario(scens[1].dist, scens[1].basis, x0)
+    return ctrl, scens
+
+
+class TestReplay:
+    @KINDS
+    def test_blocks_equal_the_recorded_histories(self, kind, ne39):
+        # 37 steps: two full forcing blocks and a partial one
+        ctrl, scens = replay_case(kind, ne39)
+        _, hist = euler_histories(ne39, ctrl, scens, 0.37, record=("delta", "omega", "u", "a_hat"))
+        stack, omega_h, starts, usq = training._forward(ne39, ctrl, scens, 0.01, 0.37, None)
+        assert np.array_equal(omega_h, hist["omega"])
+        assert np.array_equal(usq, action_sum(hist["u"][:-1]))
+        a_h = np.moveaxis(hist["a_hat"], -1, 0)  # feature-first, as the replay
+        assert not ctrl.n_features or np.abs(a_h[:, 0]).max() > 0
+        rng = np.random.default_rng(7)
+        blocks = []
+        for k0, view, delta, a_hat, (u, du_dw, vjp_raw) in training._replay(stack, omega_h, starts):
+            k1 = k0 + delta.shape[0]
+            blocks.append((k0, k1))
+            assert np.array_equal(delta, hist["delta"][k0:k1])
+            assert np.array_equal(u, hist["u"][k0:k1])
+            if ctrl.n_features:
+                assert np.array_equal(a_hat, a_h[:, k0:k1])
+            else:
+                assert view is None and a_hat is None
+            omega = omega_h[k0:k1]
+            assert np.array_equal(du_dw, ctrl.control_wrt_omega(omega))
+            bar_u = rng.normal(size=omega.shape)
+            assert np.array_equal(vjp_raw(bar_u), ctrl.control_vjp_raw(omega, bar_u))
+        assert blocks == [(32, 37), (16, 32), (0, 16)]
+
+    @KINDS
+    @SMOOTH
+    @pytest.mark.parametrize("T", [0.37, 0.16, 0.01])
+    def test_grad_loss_equals_the_full_history_adjoint(self, kind, smooth_max, T, ne39):
+        # 37 steps, exactly one forcing block, and a single step
+        ctrl, scens = replay_case(kind, ne39)
+        cost = CostSpec(gamma=0.1, c=make_cost_spec(ne39, 2).c, T=T)
+        stack, hist = euler_histories(ne39, ctrl, scens, T)
+        omega_h, u_h = hist["omega"], hist["u"][:-1]
+        want_loss, seed_w = training._loss_terms(omega_h, action_sum(u_h), cost, 0.01, smooth_max)
+        want = full_history_backward(stack, hist["delta"], omega_h, u_h, seed_w, cost)
+        loss, grad = grad_loss(ne39, ctrl, scens, cost, smooth_max=smooth_max)
+        assert np.abs(want).max() > 0
+        assert loss == want_loss and np.array_equal(grad, want)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_adjoint_divergence_names_its_step(self, count, two_bus):
+        # a huge action weight overflows the control seed of the last step
+        cost = CostSpec(gamma=1e308, c=np.full(2, 0.05), T=4.0)
+        scens = make_scenarios(two_bus, count, 0)
+        with pytest.raises(IntegrationError, match=r"^non-finite adjoint at step 399$"):
+            grad_loss(two_bus, DroopController.initial(2), scens, cost)
+
+    @SMOOTH
+    def test_adaptive_grad_loss_memory(self, smooth_max, ne39):
+        # ne39, B = 25, K = 400: the omega history is 3.0 MiB; a sweep that
+        # also holds the delta and control histories peaks at 11.6 MiB
+        ctrl = AdaptiveController.initial(MonotonePWLController.initial(ne39.n), 3)
+        scens = make_scenarios(ne39, 25, 0)
+        cost = make_cost_spec(ne39, 0)
+        args = dict(smooth_max=smooth_max, delta_star=training.solve_equilibrium(ne39))
+        grad_loss(ne39, ctrl, scens, cost, **args)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grad_loss(ne39, ctrl, scens, cost, **args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * 2**20
 
 
 class TestAdam:
