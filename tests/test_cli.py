@@ -672,6 +672,24 @@ class TestCertify:
         assert doc["worst_margin"] > doc["tol"]
         assert numeric_paths(doc) == CERTIFICATE_NUMBERS
 
+    def test_weak_destabilizing_feedback_fails_the_decrease_check(self, tmp_path, capsys):
+        # u = -0.01 omega keeps every trajectory inside the region, so only the
+        # decrease check can refuse it: its margin is about 9x the tolerance
+        path = tmp_path / "weak.json"
+        save_controller(LinearController(np.full(39, -1e-2)), path)
+        rc = main([
+            "certify", "--case", "ne39", "--controller", str(path),
+            "--scenarios", "8", "--calibration", "2", "--seed", "0", "--samples", "20",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "left the operating region" not in err
+        assert re.search(r"margin \S+ at t=\d+\.\d+ s exceeds tol", err)
+        doc = json.loads((tmp_path / "certificate.json").read_text())
+        assert doc["pass"] is False
+        assert doc["worst_margin"] > doc["tol"]
+
     def test_diverging_trajectory_is_named(self, tmp_path, capsys):
         path = tmp_path / "negative.json"
         save_controller(LinearController(np.full(2, -300.0)), path)

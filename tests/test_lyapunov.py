@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swingfreq import lyapunov
 from swingfreq.cli import EVAL_ONSET
 from swingfreq.controllers import (
     AdaptiveController,
@@ -31,8 +32,42 @@ from swingfreq.lyapunov import (
     series_margin_constant,
     stream_energy,
 )
-from swingfreq.netmodel import Network, coi_project, grad_S, potential_S
+from swingfreq.netmodel import Network, coi_project, grad_S, hessian_S, potential_S
 from swingfreq.training import make_scenarios
+
+
+def brute_force_sampled(net, margin, samples, rng):
+    """beta1_sampled and beta2_sampled from eigvalsh of every region sample."""
+    half = (np.pi / 2 - margin) / 2
+    delta = np.random.default_rng(rng).uniform(-half, half, (samples, net.n))
+    ev = np.linalg.eigvalsh(hessian_S(net, coi_project(delta)))
+    return 0.5 * ev[:, 1].min(), 0.5 * ev[:, -1].max()
+
+
+class ScriptedGenerator(np.random.Generator):
+    """A generator whose `uniform` returns the given arrays in turn."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self._draws = iter(draws)
+
+    def uniform(self, low, high, size):
+        out = next(self._draws)
+        assert out.shape == size and ((low <= out) & (out <= high)).all()
+        return out
+
+
+def record_eigvalsh(monkeypatch):
+    """The stacks later passed to np.linalg.eigvalsh, each as (matrices, n, n)."""
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        stacks.append(np.reshape(a, (-1, *np.shape(a)[-2:])))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return stacks
 
 
 def zero_injection_two_bus(two_bus):
@@ -143,6 +178,42 @@ class TestGammaBounds:
         gb = compute_gammas(ne39, margin=0.01, samples=300)
         assert gb.beta1_sampled >= gb.beta1
         assert gb.beta2_sampled <= gb.beta2 + 1e-12
+
+    @pytest.mark.parametrize("samples", [1, 17, 300, 2000])
+    @pytest.mark.parametrize("rng", [0, 1, 2])
+    def test_sampled_extremes_match_brute_force(self, ne39, two_bus, samples, rng):
+        adaptive = AdaptiveController.initial(DroopController.initial(39), 3)
+        for net, ctrl in ((ne39, None), (ne39, adaptive), (two_bus, None)):
+            gb = compute_gammas(net, ctrl, margin=0.01, samples=samples, rng=rng)
+            expected = brute_force_sampled(net, 0.01, samples, rng)
+            assert (gb.beta1_sampled, gb.beta2_sampled) == expected
+
+    def test_only_samples_near_an_extreme_are_eigensolved(self, two_bus, monkeypatch):
+        # a two_bus Laplacian at line angle d has the one nonzero eigenvalue
+        # 2 b cos d, b = 1; the first chunk sets lo = 2 cos 1.2 and hi = 2 cos 0.3
+        eps = 1e-6  # lyapunov._GAMMA_EPS, written out so a changed constant shows
+        chunk = lyapunov._GAMMA_CHUNK
+        lo, hi = 2 * np.cos(1.2), 2 * np.cos(0.3)
+        near = [lo * (1 - eps / 10), lo * (1 + eps / 10), hi * (1 + eps / 10), hi * (1 - eps / 10)]
+        far = [lo * (1 + 10 * eps), hi * (1 - 10 * eps)] + [2 * np.cos(0.75)] * (chunk - 6)
+
+        def angles(d):
+            return np.stack([d / 2, -d / 2], axis=1)
+
+        draws = [angles(np.linspace(0.3, 1.2, chunk)), angles(np.arccos(np.array(near + far) / 2))]
+        stacks = record_eigvalsh(monkeypatch)
+        gb = compute_gammas(two_bus, margin=0.01, samples=2 * chunk, rng=ScriptedGenerator(draws))
+        # the Laplacian at zero angles, the first chunk in full, then the near samples
+        assert [len(a) for a in stacks] == [1, chunk, len(near)]
+        assert 2 * stacks[2][:, 0, 0] == pytest.approx(near, rel=1e-12, abs=0)
+        assert gb.beta1_sampled == pytest.approx(0.5 * near[0], rel=1e-12, abs=0)
+        assert gb.beta2_sampled == pytest.approx(0.5 * near[2], rel=1e-12, abs=0)
+
+    def test_eigensolves_few_of_the_samples(self, ne39, monkeypatch):
+        stacks = record_eigvalsh(monkeypatch)
+        compute_gammas(ne39, margin=0.01, samples=2000, rng=0)
+        # the Laplacian at zero angles and 26 of the samples when written
+        assert sum(len(a) for a in stacks) <= 64
 
     def test_gamma_formula_with_unit_rates(self, two_bus):
         margin = np.pi / 2 - 1.4
