@@ -16,8 +16,7 @@ reruns with the same arguments.  `evaluate` integrates all its controllers
 over the battery as one batch and scores the rows as they are integrated.
 `certify` hands the case, controller and equilibrium to `lyapunov.certify`,
 which decides the certificate; the command writes it and prints its causes
-of failure.  SWINGFREQ_THREADS, when set, must be a positive integer; no
-result depends on its value.
+of failure.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -170,13 +168,6 @@ def _resolve_controller(args, net: Network, default: str) -> tuple[Controller, s
     if getattr(args, "saturate", None) is not None:
         ctrl = SaturatedController(ctrl, args.saturate)
     return ctrl, label
-
-
-def _check_thread_cap() -> None:
-    """Reject a SWINGFREQ_THREADS that is set but not a positive integer."""
-    env = os.environ.get("SWINGFREQ_THREADS", "").strip()
-    if env and not (env.isdecimal() and int(env) >= 1):
-        raise ValueError(f"SWINGFREQ_THREADS must be a positive integer, got {env!r}")
 
 
 def _scenario_hash(scen: Scenario) -> str:
@@ -649,7 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_thread_cap()
         return args.func(args)
     except CertificationError as exc:
         print(f"certification {exc.verdict}: {exc}", file=sys.stderr)

@@ -15,8 +15,10 @@ Restricting the features to the constant 1 recovers a PI controller.
 Controllers are immutable; the adaptive estimates ahat live in the dynamic
 state, not here, which keeps rollouts and backpropagation purely functional.
 Every controller exposes its trainable parameters as one flat unconstrained
-vector (`raw_parameters` / `with_raw_parameters`) plus the vector-Jacobian
-hooks the training module needs.
+vector (`raw_parameters` / `with_raw_parameters`) and one backward hook,
+`linearize`: u, du/domega and the pull-back to the raw gradient at a block
+of frequencies, all the adjoint needs of a base controller.
+`control_wrt_omega` and `control_vjp_raw` are views of it on `Controller`.
 
 The adaptive hooks are feature-first: for frequencies omega of shape
 (..., n), features phi and estimates ahat have shape (l,) + omega.shape,
@@ -105,7 +107,11 @@ def _freeze(obj, **arrays: np.ndarray) -> None:
 
 
 class Controller(ABC):
-    """Common interface; all evaluation methods broadcast over leading axes."""
+    """Common interface; all evaluation methods broadcast over leading axes.
+
+    `linearize` is the one backward hook each concrete class defines;
+    `control_wrt_omega` and `control_vjp_raw` are views of it.
+    """
 
     n: int
 
@@ -135,8 +141,23 @@ class Controller(ABC):
         a_hat, both (l,) + omega.shape."""
 
     @abstractmethod
+    def linearize(self, omega, phi=None, a_hat=None):
+        """`control` at omega with its derivative and pull-back, as (u,
+        du_domega, vjp): du_domega is the elementwise du_i/domega_i (left
+        derivative at kinks) and vjp(bar_u), for a bar_u of omega's shape,
+        the raw gradient of sum(bar_u * u), summed over leading axes."""
+
     def control_wrt_omega(self, omega: np.ndarray) -> np.ndarray:
-        """Elementwise derivative du_i/domega_i (left derivative at kinks)."""
+        """du_i/domega_i at omega, the second item of `linearize`."""
+        return self.linearize(omega)[1]
+
+    def control_vjp_raw(self, omega: np.ndarray, bar_u: np.ndarray) -> np.ndarray:
+        """d(sum bar_u * u)/d(raw) through `linearize`, with omega and bar_u
+        broadcast against each other."""
+        omega, bar_u = np.broadcast_arrays(
+            np.asarray(omega, dtype=float), np.asarray(bar_u, dtype=float)
+        )
+        return self.linearize(omega)[2](bar_u)
 
     @abstractmethod
     def raw_parameters(self) -> np.ndarray: ...
@@ -152,21 +173,6 @@ class Controller(ABC):
     ) -> tuple[np.ndarray, object]:
         """`control` plus an empty cache slot; `perfbench/spans.py` wraps this name."""
         return self.control(omega, phi, a_hat), None
-
-    @abstractmethod
-    def control_vjp_raw(self, omega: np.ndarray, bar_u: np.ndarray) -> np.ndarray:
-        """Accumulate d(sum bar_u * u)/d(raw), summing over leading axes."""
-
-    def linearize(self, omega, phi=None, a_hat=None):
-        """`control`, `control_wrt_omega` and the `control_vjp_raw` pull-back at
-        omega, as (u, du_domega, vjp) with vjp(bar_u) the raw gradient for a
-        bar_u of omega's shape.  A controller whose three share work (the PWL
-        segment lookup) does it once."""
-        return (
-            self.control(omega, phi, a_hat),
-            self.control_wrt_omega(omega),
-            lambda bar_u: self.control_vjp_raw(omega, bar_u),
-        )
 
     def adaptation(self, omega: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
         """Estimate rates d(ahat)/dt, (l,) + omega.shape, written into `out` when given."""
@@ -218,19 +224,15 @@ class DroopController(Controller):
     def control(self, omega, phi=None, a_hat=None, out=None):
         return np.multiply(self.gains, omega, out=out)
 
-    def control_wrt_omega(self, omega):
-        return np.broadcast_to(self.gains, np.shape(omega))
+    def linearize(self, omega, phi=None, a_hat=None):
+        vjp = lambda bar_u: (bar_u * omega).reshape(-1, self.n).sum(axis=0) * self._dgains
+        return self.control(omega), np.broadcast_to(self.gains, np.shape(omega)), vjp
 
     def raw_parameters(self):
         return self.raw_gain.copy()
 
     def with_raw_parameters(self, raw):
         return DroopController(self._check_raw(raw, self.n))
-
-    def control_vjp_raw(self, omega, bar_u):
-        contrib = np.asarray(bar_u, dtype=float) * np.asarray(omega, dtype=float)
-        flat = contrib.reshape(-1, self.n).sum(axis=0)
-        return flat * self._dgains
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,9 +316,6 @@ class MonotonePWLController(Controller):
     def control(self, omega, phi=None, a_hat=None, out=None):
         return self._value(*self._segments(omega), out)
 
-    def control_wrt_omega(self, omega):
-        return self._slopes.take(self._segments(omega)[0])
-
     def linearize(self, omega, phi=None, a_hat=None):
         flat, offset = self._segments(omega)
         return (
@@ -331,13 +330,6 @@ class MonotonePWLController(Controller):
     def with_raw_parameters(self, raw):
         raw = self._check_raw(raw, self.raw_slopes.size)
         return MonotonePWLController(self.breakpoints, raw.reshape(self.raw_slopes.shape))
-
-    def control_vjp_raw(self, omega, bar_u):
-        omega = np.asarray(omega, dtype=float)
-        bar = np.asarray(bar_u, dtype=float)
-        if bar.shape != omega.shape:
-            omega, bar = np.broadcast_arrays(omega, bar)
-        return self._slope_vjp(*self._segments(omega), bar)
 
     def _slope_vjp(self, flat, offset, bar):
         # d u_i / d slope_ij = overlap[s, j] + [j = s] * (omega - ref_s)
@@ -373,18 +365,15 @@ class LinearController(Controller):
     def control(self, omega, phi=None, a_hat=None, out=None):
         return np.multiply(self.gain, omega, out=out)
 
-    def control_wrt_omega(self, omega):
-        return np.broadcast_to(self.gain, np.shape(omega))
+    def linearize(self, omega, phi=None, a_hat=None):
+        vjp = lambda bar_u: (bar_u * omega).reshape(-1, self.n).sum(axis=0)
+        return self.control(omega), np.broadcast_to(self.gain, np.shape(omega)), vjp
 
     def raw_parameters(self):
         return self.gain.copy()
 
     def with_raw_parameters(self, raw):
         return LinearController(self._check_raw(raw, self.n))
-
-    def control_vjp_raw(self, omega, bar_u):
-        contrib = np.asarray(bar_u, dtype=float) * np.asarray(omega, dtype=float)
-        return contrib.reshape(-1, self.n).sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,18 +483,15 @@ class AdaptiveController(Controller):
         # summed over the leading feature axis, one feature after another
         return np.add(u, np.add.reduce(phi * a_hat, 0), out=u)
 
-    def control_wrt_omega(self, omega):
-        return self.base.control_wrt_omega(omega)
-
     def linearize(self, omega, phi=None, a_hat=None):
-        phi, a_hat = self._check_view(phi, a_hat)
+        """The base's linearization plus the estimate term in u when phi and
+        a_hat are given; neither derivative depends on them, and the rates
+        get a zero gradient (they act through `adaptation` alone)."""
         u, du_domega, base_vjp = self.base.linearize(omega)
+        if phi is not None or a_hat is not None:
+            u = self._plus_estimates(u, *self._check_view(phi, a_hat))
         rates = np.zeros(self.raw_rate.size)
-        return (
-            self._plus_estimates(u, phi, a_hat),
-            du_domega,
-            lambda bar_u: np.concatenate([base_vjp(bar_u), rates]),
-        )
+        return u, du_domega, lambda bar_u: np.concatenate([base_vjp(bar_u), rates])
 
     def adaptation(self, omega, phi, out=None):
         """d(ahat)/dt = omega_i * A_i phi_i, shape (l,) + omega.shape."""
@@ -554,10 +540,6 @@ class AdaptiveController(Controller):
             self.feature_mode,
         )
 
-    def control_vjp_raw(self, omega, bar_u):
-        base_grad = self.base.control_vjp_raw(omega, bar_u)
-        return np.concatenate([base_grad, np.zeros(self.raw_rate.size)])
-
 
 @dataclass(frozen=True, eq=False)
 class SaturatedController(Controller):
@@ -596,7 +578,7 @@ class SaturatedController(Controller):
         u = self.inner.control(omega, phi, a_hat, out)
         return np.clip(u, -self.u_max, self.u_max, out=u)
 
-    def control_wrt_omega(self, omega):
+    def linearize(self, omega, phi=None, a_hat=None):
         raise ControllerError("training through saturation is not supported")
 
     def raw_parameters(self):
@@ -604,9 +586,6 @@ class SaturatedController(Controller):
 
     def with_raw_parameters(self, raw):
         return SaturatedController(self.inner.with_raw_parameters(raw), self.u_max)
-
-    def control_vjp_raw(self, omega, bar_u):
-        raise ControllerError("training through saturation is not supported")
 
 
 def controller_to_dict(ctrl: Controller) -> dict:

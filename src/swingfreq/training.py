@@ -15,7 +15,7 @@ oracle.  gamma, the range the per-bus c_i are drawn from and the
 loss horizon are module constants (`make_cost_spec`).  The backward pass
 walks the same recurrence with hand-written vector-Jacobian products for
 every term: network coupling via Hessian-vector products, controller terms
-via the hooks the controllers expose.  The forward pass records the
+via one linearization of the controller (`Controller.linearize`).  The forward pass records the
 frequency history alone, the one horizon-sized array of a gradient call; the
 loss is reduced over it a block of records at a time, and an observer sums
 the action and keeps the angles and estimates at the first step of each

@@ -10,7 +10,7 @@ The mutant is killed when one of them fails or errors.  The tests first
 run once against an unedited copy, where all must pass (else exit 2).
 Prints one line per mutant with the tests that failed, and exits 1 if a
 mutant survived or could not be applied.  The file name keeps pytest from
-collecting it; the three mutants below take about 16 s on a 2-CPU host.
+collecting it; the eight mutants below take about 32 s on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -51,6 +51,32 @@ MUTANTS = (
         "compute_gammas skips every sample after the first chunk",
         (("lyapunov.py", "return ~(above & below)", "return np.zeros(m, dtype=bool)"),),
         (GAMMA_TESTS,),
+    ),
+    Mutant(
+        "droop VJP without the softplus chain factor",
+        (("controllers.py", ".sum(axis=0) * self._dgains", ".sum(axis=0)"),),
+        ("tests/test_training.py::TestGradients",),
+    ),
+    Mutant(
+        "PWL slope VJP without the moment term",
+        (("controllers.py", "(total.dot(self._overlap) + moment)", "total.dot(self._overlap)"),),
+        ("tests/test_controllers.py::TestPWLSegmentTable::test_vjp_matches_overlaps",),
+    ),
+    Mutant(
+        "adjoint drops the damping term",
+        (("training.py", "lam_w + dt * lam_dp - dt_D * g_m", "lam_w + dt * lam_dp"),),
+        ("tests/test_training.py::TestGradients::test_blocked_adjoint_matches_per_step_sweep",),
+    ),
+    Mutant(
+        "adaptation without its rate",
+        (("controllers.py", "np.multiply(omega * self._rates_like(omega), phi",
+          "np.multiply(omega, phi"),),
+        ("tests/test_training.py::TestGradients::test_matches_finite_differences_all_types",),
+    ),
+    Mutant(
+        "hard-max seed at the last maximizer",
+        (("training.py", "later = top > best", "later = top >= best"),),
+        ("tests/test_training.py::TestBlockedLossTerms",),
     ),
 )
 

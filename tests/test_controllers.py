@@ -75,6 +75,24 @@ class TestDroop:
             ctrl.with_raw_parameters(np.zeros(5))
 
 
+@pytest.mark.parametrize("kind", ["droop", "linear"])
+def test_gain_linearize_on_a_block(kind):
+    rng = np.random.default_rng(4)
+    raw = rng.normal(size=4)
+    if kind == "droop":
+        ctrl, g, chain = DroopController(raw), softplus(raw), 1.0 / (1.0 + np.exp(-raw))
+    else:
+        ctrl, g, chain = LinearController(raw), raw, 1.0
+    w = rng.normal(size=(5, 3, ctrl.n))
+    bar_u = np.broadcast_to(rng.normal(size=ctrl.n), w.shape)
+    u, du_dw, vjp = ctrl.linearize(w)
+    np.testing.assert_allclose(u, g * w, rtol=1e-14)
+    np.testing.assert_allclose(du_dw, np.broadcast_to(g, w.shape), rtol=1e-14)
+    np.testing.assert_allclose(
+        vjp(bar_u), (bar_u * w).sum(axis=(0, 1)) * chain, rtol=1e-12, atol=1e-14
+    )
+
+
 class TestMonotonePWL:
     def test_origin_exact(self):
         rng = np.random.default_rng(0)
@@ -208,15 +226,11 @@ class TestPWLSegmentTable:
                 )
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_linearize_equals_the_three_hooks(self, grid):
+    def test_linearize_value_equals_control(self, grid):
+        # du and the VJP are views of linearize, pinned by the oracles above
         ctrl = self.make(grid)
-        rng = np.random.default_rng(6)
         for w in self.points(ctrl):
-            u, du_dw, vjp_raw = ctrl.linearize(w)
-            bar_u = rng.normal(size=w.shape)
-            assert np.array_equal(u, ctrl.control(w))
-            assert np.array_equal(du_dw, ctrl.control_wrt_omega(w))
-            assert np.array_equal(vjp_raw(bar_u), ctrl.control_vjp_raw(w, bar_u))
+            assert np.array_equal(ctrl.linearize(w)[0], ctrl.control(w))
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_origin_exact(self, grid):
@@ -298,6 +312,25 @@ class TestAdaptive:
         with pytest.raises(ControllerError, match="mismatch"):
             ctrl.control(np.zeros(1), np.ones((3, 1)), np.ones((2, 1)))
 
+    @pytest.mark.parametrize("base", ["droop", "pwl"])
+    def test_linearize_without_estimates_is_the_base(self, base):
+        rng = np.random.default_rng(8)
+        inner = self.base(2) if base == "droop" else random_pwl(rng, n=2)
+        ctrl = AdaptiveController.initial(inner, 3)
+        w = rng.normal(size=(4, 2))
+        phi, a_hat = rng.normal(size=(2, 3, 4, 2))
+        bar_u = rng.normal(size=w.shape)
+        u, du_dw, vjp = ctrl.linearize(w)
+        u_full, du_full, vjp_full = ctrl.linearize(w, phi, a_hat)
+        assert np.array_equal(u, inner.control(w))
+        assert np.array_equal(u_full, ctrl.control(w, phi, a_hat))
+        assert np.array_equal(du_dw, du_full)
+        assert np.array_equal(vjp(bar_u), vjp_full(bar_u))
+        with pytest.raises(ControllerError):
+            ctrl.linearize(w, phi)
+        with pytest.raises(ControllerError):
+            ctrl.linearize(w, a_hat=a_hat)
+
     def test_base_must_be_static(self):
         inner = AdaptiveController.initial(self.base(), 3)
         with pytest.raises(ControllerError):
@@ -321,6 +354,8 @@ class TestSaturation:
 
     def test_refuses_training_hooks(self):
         ctrl = SaturatedController(DroopController.initial(1), u_max=1.0)
+        with pytest.raises(ControllerError, match="saturation"):
+            ctrl.linearize(np.zeros(1))
         with pytest.raises(ControllerError, match="saturation"):
             ctrl.control_wrt_omega(np.zeros(1))
         with pytest.raises(ControllerError, match="saturation"):
